@@ -36,6 +36,7 @@ from .grpo import (
     grpo_gradient,
     grpo_objective,
     kl_k3,
+    train_grpo,
     train_stage1,
 )
 from .oracle import (

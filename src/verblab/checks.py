@@ -20,31 +20,28 @@ import numpy as np
 from .domain import EpisodeInstance, InteractionRecord, Token, UserHistory, VerbalizedContext
 from .grpo import (
     GrpoConfig,
-    PolicySnapshot,
-    RolloutGroup,
-    RolloutMember,
-    Snapshots,
     clipped_term,
     finite_diff_check,
     grpo_gradient,
     grpo_objective,
     group_advantages,
     kl_k3,
+    sample_group,
+    stage1_make_ctx,
     train_stage1,
 )
 from .oracle import (
     OracleWeights,
-    RewardBreakdown,
     RewardConfig,
     length_reward,
     oracle_predict,
     oracle_scores,
     stage1_reward,
 )
-from .reasoner import ReasonerPolicy, episode_candidate_features, stage2_reward
+from .reasoner import ReasonerPolicy, stage2_make_ctx
 from .rng import derive_rng
 from .synthworld import WorldConfig, gen_catalog, gen_dataset, gen_split
-from .verbalizer import ActionPolicy, RewritePolicy, frozen_verbalize
+from .verbalizer import POLICIES
 
 ZERO_WEIGHT_KINDS = ("DATE", "DOW", "HOUR", "ID", "YEAR", "ENG", "DUR", "COUNT")
 
@@ -73,11 +70,7 @@ def _normals(seed: int, purpose: str, n: int, scale: float) -> np.ndarray:
 
 
 def _make_policy(kind: str, catalog):
-    if kind == "action":
-        return ActionPolicy(catalog)
-    if kind == "rewrite":
-        return RewritePolicy(catalog)
-    return ReasonerPolicy()
+    return POLICIES[kind](catalog) if kind in POLICIES else ReasonerPolicy()
 
 
 def _sample_groups(kind: str, episodes, catalog, old_params, g: int, eps_adv: float, seed: int):
@@ -87,29 +80,14 @@ def _sample_groups(kind: str, episodes, catalog, old_params, g: int, eps_adv: fl
     the reasoner sees +/-1 on template contexts, exactly as in training.
     """
     policy = _make_policy(kind, catalog)
-    reward = RewardConfig()
-    groups = []
-    for j, ep in enumerate(episodes):
-        if kind == "reasoner":
-            ctx = episode_candidate_features(frozen_verbalize("template", None, ep.history, catalog), ep, catalog)
-        else:
-            ctx = policy.make_ctx(ep.history)
-        members = []
-        for i in range(g):
-            rng = derive_rng(seed, f"check_rollout_{kind}", j * g + i)
-            trace = policy.sample(old_params, ctx, rng)
-            if kind == "reasoner":
-                r = stage2_reward(trace.choices[0], ep.target_index)
-                breakdown = RewardBreakdown((r + 1) / 2, 0.0, r, 0.0)
-            else:
-                context = policy.render(ctx, trace.choices)
-                breakdown = stage1_reward(
-                    context, ep, catalog, reward.alpha, reward.weights, reward.shape, reward.kind
-                )
-            members.append(RolloutMember(trace.choices, trace.logprobs, breakdown))
-        for member, adv in zip(members, group_advantages([m.reward.r_total for m in members], eps_adv)):
-            member.advantage = float(adv)
-        groups.append(RolloutGroup(ctx, members))
+    if kind == "reasoner":
+        make_ctx = stage2_make_ctx(catalog, "template", None)
+    else:
+        make_ctx = stage1_make_ctx(policy, catalog, RewardConfig())
+    groups = [
+        sample_group(policy, old_params, *make_ctx(ep), seed, f"check_rollout_{kind}", j * g, g, eps_adv)
+        for j, ep in enumerate(episodes)
+    ]
     return policy, groups
 
 
@@ -133,10 +111,9 @@ def check_gradients(instances_per_policy: int = 20, h: float = 1e-5, threshold: 
             # term both contribute, against a third reference point
             cur = old + _normals(seed, f"check_cur_{kind}", n, 0.3)
             ref = old + _normals(seed, f"check_ref_{kind}", n, 0.3)
-            snapshots = Snapshots(PolicySnapshot("old", old), PolicySnapshot("reference", ref))
-            analytic = grpo_gradient(policy, cur, groups, snapshots, cfg)
+            analytic = grpo_gradient(policy, cur, groups, ref, cfg)
             err = finite_diff_check(
-                lambda p: grpo_objective(policy, p, groups, snapshots, cfg), analytic, cur, h=h
+                lambda p: grpo_objective(policy, p, groups, ref, cfg), analytic, cur, h=h
             )
             worst = max(worst, err)
     return SuiteResult(
@@ -226,12 +203,10 @@ def check_kernels(cosine_threshold: float = 0.999) -> SuiteResult:
         # candidates can share a feature row, making the true gradient zero;
         # scan rollout substreams deterministically for a witness with signal
         policy = groups = old = analytic = None
-        snapshots = None
         for attempt in range(seed, seed + 50):
             old = _normals(attempt, f"check_reinforce_{kind}", n, 0.4)
             policy, groups = _sample_groups(kind, episodes, catalog, old, g=4, eps_adv=cfg.eps_adv, seed=attempt)
-            snapshots = Snapshots(PolicySnapshot("old", old), PolicySnapshot("reference", old.copy()))
-            analytic = grpo_gradient(policy, old, groups, snapshots, cfg)
+            analytic = grpo_gradient(policy, old, groups, old.copy(), cfg)
             if float(np.linalg.norm(analytic)) > 1e-9:
                 break
         oracle = _reinforce_oracle(policy, groups, old)

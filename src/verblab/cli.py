@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 
 from .checks import run_all_checks
 from .config import ALL_VARIANTS, ConfigError, GlobalConfig, default_config, load_config
@@ -25,13 +24,11 @@ from .domain import (
     read_catalog,
     read_episodes,
 )
-from .evaluation import EvaluationError, emit_report, evaluate, run_ablation
+from .evaluation import EvaluationError, emit_report, ensure_dataset, evaluate, run_ablation
 from .grpo import TrainingError, train_stage1
 from .reasoner import save_reasoner_params, train_stage2
-from .synthworld import GenerationError, gen_dataset
+from .synthworld import GenerationError
 from .verbalizer import load_policy_params, save_policy_params
-
-log = logging.getLogger(__name__)
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -103,19 +100,9 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _ensure_data(cfg: GlobalConfig, seed: int, out_dir: str) -> dict[str, str]:
-    world = replace(cfg.world, master_seed=seed)
-    paths = {n: os.path.join(out_dir, n) for n in ("catalog.json", "train.jsonl", "eval.jsonl")}
-    if not all(os.path.exists(p) for p in paths.values()):
-        log.info("dataset missing under %s; generating", out_dir)
-        return gen_dataset(world, out_dir)
-    return paths
-
-
 def _cmd_gen_data(cfg: GlobalConfig, args) -> int:
     seed = _effective_seed(cfg, args)
-    world = replace(cfg.world, master_seed=seed)
-    paths = gen_dataset(world, cfg.out_dir)
+    paths = ensure_dataset(cfg, seed, cfg.out_dir, force=True)
     for name in sorted(paths):
         print(f"{name} sha256 {_digest(paths[name])}")
     return 0
@@ -123,7 +110,7 @@ def _cmd_gen_data(cfg: GlobalConfig, args) -> int:
 
 def _cmd_train_verbalizer(cfg: GlobalConfig, args) -> int:
     seed = _effective_seed(cfg, args)
-    paths = _ensure_data(cfg, seed, cfg.out_dir)
+    paths = ensure_dataset(cfg, seed, cfg.out_dir)
     catalog = read_catalog(paths["catalog.json"])
     train_eps = read_episodes(paths["train.jsonl"])
     log_path = os.path.join(cfg.out_dir, f"log_stage1_{args.policy}.csv")
@@ -144,7 +131,7 @@ def _cmd_train_verbalizer(cfg: GlobalConfig, args) -> int:
 
 def _cmd_train_reasoner(cfg: GlobalConfig, args) -> int:
     seed = _effective_seed(cfg, args)
-    paths = _ensure_data(cfg, seed, cfg.out_dir)
+    paths = ensure_dataset(cfg, seed, cfg.out_dir)
     catalog = read_catalog(paths["catalog.json"])
     train_eps = read_episodes(paths["train.jsonl"])
     if args.raw:
@@ -170,7 +157,7 @@ def _cmd_train_reasoner(cfg: GlobalConfig, args) -> int:
 
 def _cmd_eval(cfg: GlobalConfig, args) -> int:
     seed = _effective_seed(cfg, args)
-    paths = _ensure_data(cfg, seed, cfg.out_dir)
+    paths = ensure_dataset(cfg, seed, cfg.out_dir)
     catalog = read_catalog(paths["catalog.json"])
     eval_eps = read_episodes(paths["eval.jsonl"])
     metrics = evaluate(args.variant, eval_eps, catalog, cfg, seed_dir=cfg.out_dir)

@@ -77,7 +77,6 @@ class GlobalConfig:
     reasoner_init_scale: float = 0.0
     ablate: AblateConfig = field(default_factory=AblateConfig)
     out_dir: str = "out"
-    determinism: bool = True
 
     def __post_init__(self) -> None:
         # The reward blend and the retrieval oracle must score tokens with the
@@ -105,15 +104,12 @@ def default_config() -> GlobalConfig:
 # ---------------------------------------------------------------------------
 # strict parsing
 
-_BOOL, _INT, _FLOAT, _STR = "bool", "int", "float", "str"
+_INT, _FLOAT, _STR = "int", "float", "str"
 _INT_LIST, _STR_LIST = "int_list", "str_list"
 
 
 def _coerce(value, kind: str, where: str):
-    if kind == _BOOL:
-        if isinstance(value, bool):
-            return value
-    elif kind == _INT:
+    if kind == _INT:
         if isinstance(value, int) and not isinstance(value, bool):
             return value
     elif kind == _FLOAT:
@@ -131,20 +127,27 @@ def _coerce(value, kind: str, where: str):
     raise ConfigError(f"{where}: expected {kind.replace('_', ' of ')}, got {value!r}")
 
 
-def _parse_section(obj: dict, section: str, target, fields: dict[str, str], renames: dict[str, str] | None = None):
+def _parse_section(obj: dict, section: str, cfg: GlobalConfig, fields: dict[str, tuple[str, str]]) -> None:
     data = obj.get(section)
     if data is None:
-        return target
+        return
     if not isinstance(data, dict):
         raise ConfigError(f"{section}: expected an object")
-    renames = renames or {}
     unknown = [k for k in data if k not in fields]
     if unknown:
         raise ConfigError(f"{section}: unknown keys {unknown}; known: {sorted(fields)}")
-    for key, kind in fields.items():
+    for key, (kind, path) in fields.items():
         if key in data:
-            setattr(target, renames.get(key, key), _coerce(data[key], kind, f"{section}.{key}"))
-    return target
+            *owners, attr = path.split(".")
+            target = cfg
+            for name in owners:
+                target = getattr(target, name)
+            setattr(target, attr, _coerce(data[key], kind, f"{section}.{key}"))
+
+
+def _under(prefix: str, kinds: dict[str, str]) -> dict[str, tuple[str, str]]:
+    """Section fields stored as same-named attributes of the object at ``prefix``."""
+    return {key: (kind, f"{prefix}.{key}") for key, kind in kinds.items()}
 
 
 _WORLD_FIELDS = {
@@ -159,69 +162,34 @@ _GRPO_FIELDS = {
     "inner_epochs": _INT, "lr": _FLOAT, "iterations": _INT,
     "batch_episodes": _INT, "ref_refresh_every": _INT,
 }
-_TOP_KEYS = (
-    "world", "verbalizer", "oracle", "reward", "grpo_stage1", "grpo_stage2",
-    "reasoner", "ablate", "paths", "determinism",
-)
+
+# Top-level section -> {key: (kind, dotted attribute path on GlobalConfig)}.
+# Sections parse in this order.
+_SECTIONS = {
+    "world": _under("world", _WORLD_FIELDS),
+    "verbalizer": _under("verbalizer", {"min_duration": _FLOAT, "keep_engagements": _STR_LIST, "init_scale": _FLOAT}),
+    "oracle": _under("oracle", {"w_title": _FLOAT, "w_genre": _FLOAT, "w_tag": _FLOAT, "w_pref": _FLOAT}),
+    "reward": {
+        **_under("reward", {"alpha": _FLOAT, "kind": _STR}),
+        **_under("reward.shape", {"lo_zero": _FLOAT, "lo_one": _FLOAT, "hi_one": _FLOAT, "hi_zero": _FLOAT}),
+    },
+    "grpo_stage1": _under("grpo_stage1", _GRPO_FIELDS),
+    "grpo_stage2": _under("grpo_stage2", _GRPO_FIELDS),
+    "reasoner": {"init_scale": (_FLOAT, "reasoner_init_scale")},
+    "ablate": _under("ablate", {"seeds": _INT_LIST, "variants": _STR_LIST}),
+    "paths": {"out_dir": (_STR, "out_dir")},
+}
 
 
 def config_from_dict(obj: dict) -> GlobalConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"config root must be an object, got {type(obj).__name__}")
-    unknown = [k for k in obj if k not in _TOP_KEYS]
+    unknown = [k for k in obj if k not in _SECTIONS]
     if unknown:
-        raise ConfigError(f"config: unknown top-level keys {unknown}; known: {list(_TOP_KEYS)}")
+        raise ConfigError(f"config: unknown top-level keys {unknown}; known: {list(_SECTIONS)}")
     cfg = default_config()
-    _parse_section(obj, "world", cfg.world, _WORLD_FIELDS)
-    _parse_section(
-        obj, "verbalizer", cfg.verbalizer,
-        {"min_duration": _FLOAT, "keep_engagements": _STR_LIST, "init_scale": _FLOAT},
-    )
-    _parse_section(
-        obj, "oracle", cfg.oracle,
-        {"w_title": _FLOAT, "w_genre": _FLOAT, "w_tag": _FLOAT, "w_pref": _FLOAT},
-    )
-    reward_data = obj.get("reward")
-    if reward_data is not None:
-        if not isinstance(reward_data, dict):
-            raise ConfigError("reward: expected an object")
-        fields = {"alpha": _FLOAT, "kind": _STR, "lo_zero": _FLOAT, "lo_one": _FLOAT, "hi_one": _FLOAT, "hi_zero": _FLOAT}
-        unknown = [k for k in reward_data if k not in fields]
-        if unknown:
-            raise ConfigError(f"reward: unknown keys {unknown}; known: {sorted(fields)}")
-        if "alpha" in reward_data:
-            cfg.reward.alpha = _coerce(reward_data["alpha"], _FLOAT, "reward.alpha")
-        if "kind" in reward_data:
-            cfg.reward.kind = _coerce(reward_data["kind"], _STR, "reward.kind")
-        shape = cfg.reward.shape
-        for knot in ("lo_zero", "lo_one", "hi_one", "hi_zero"):
-            if knot in reward_data:
-                setattr(shape, knot, _coerce(reward_data[knot], _FLOAT, f"reward.{knot}"))
-    _parse_section(obj, "grpo_stage1", cfg.grpo_stage1, _GRPO_FIELDS)
-    _parse_section(obj, "grpo_stage2", cfg.grpo_stage2, _GRPO_FIELDS)
-    reasoner_data = obj.get("reasoner")
-    if reasoner_data is not None:
-        if not isinstance(reasoner_data, dict):
-            raise ConfigError("reasoner: expected an object")
-        unknown = [k for k in reasoner_data if k != "init_scale"]
-        if unknown:
-            raise ConfigError(f"reasoner: unknown keys {unknown}; known: ['init_scale']")
-        if "init_scale" in reasoner_data:
-            cfg.reasoner_init_scale = _coerce(reasoner_data["init_scale"], _FLOAT, "reasoner.init_scale")
-    _parse_section(obj, "ablate", cfg.ablate, {"seeds": _INT_LIST, "variants": _STR_LIST})
-    paths_data = obj.get("paths")
-    if paths_data is not None:
-        if not isinstance(paths_data, dict):
-            raise ConfigError("paths: expected an object")
-        unknown = [k for k in paths_data if k != "out_dir"]
-        if unknown:
-            raise ConfigError(f"paths: unknown keys {unknown}; known: ['out_dir']")
-        if "out_dir" in paths_data:
-            cfg.out_dir = _coerce(paths_data["out_dir"], _STR, "paths.out_dir")
-    if "determinism" in obj:
-        cfg.determinism = _coerce(obj["determinism"], _BOOL, "determinism")
-    # RewardConfig carries the oracle weights so reward computation is self-contained.
-    cfg.reward.weights = cfg.oracle
+    for section, fields in _SECTIONS.items():
+        _parse_section(obj, section, cfg, fields)
     cfg.validate()
     return cfg
 

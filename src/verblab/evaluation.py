@@ -14,8 +14,7 @@ import io
 import logging
 import os
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import Callable
 
 from .config import ALL_VARIANTS, GlobalConfig
 from .domain import Catalog, EpisodeInstance, read_catalog, read_episodes
@@ -23,6 +22,7 @@ from .fsutil import atomic_write_text
 from .grpo import train_stage1
 from .oracle import oracle_predict
 from .reasoner import (
+    ReasonerPolicy,
     episode_candidate_features,
     load_reasoner_params,
     save_reasoner_params,
@@ -37,8 +37,6 @@ from .verbalizer import (
 )
 
 log = logging.getLogger(__name__)
-
-VARIANT_NAMES = ALL_VARIANTS
 
 
 class EvaluationError(RuntimeError):
@@ -133,6 +131,7 @@ def evaluate(
         rparams = load_reasoner_params(_require_file(seed_dir, spec.reasoner_file, variant))
 
     rules = cfg.verbalizer.heuristic_rules()
+    reasoner = ReasonerPolicy()
     hits = disc_hits = n_disc = 0
     ratio_sum = 0.0
     for ep in episodes:
@@ -143,8 +142,7 @@ def evaluate(
         if spec.reasoner == "oracle":
             pred = oracle_predict(ctx, ep.candidates, catalog, cfg.oracle)
         else:
-            feats = episode_candidate_features(ctx, ep, catalog)
-            pred = int(np.argmax(feats @ rparams.weights))
+            pred = reasoner.greedy(rparams.weights, episode_candidate_features(ctx, ep, catalog))[0]
         hit = pred == ep.target_index
         hits += hit
         if ep.is_discovery:
@@ -167,26 +165,68 @@ def evaluate(
 DATA_FILES = ("catalog.json", "train.jsonl", "eval.jsonl")
 
 
-def _needed_artifacts(variants) -> list[str]:
-    """Training artifacts (in dependency order) the given variants require."""
-    order = [
-        "verbalizer_action.json",
-        "verbalizer_rewrite.json",
-        "verbalizer_rewrite_ranking.json",
-        "reasoner_rewrite.json",
-        "reasoner_raw.json",
-    ]
-    needed = set()
-    for v in variants:
-        spec = VARIANT_SPECS[v]
-        if spec.verbalizer_file:
-            needed.add(spec.verbalizer_file)
-        if spec.reasoner_file:
-            needed.add(spec.reasoner_file)
-    # the rewrite-context reasoner trains on the rewrite verbalizer's output
-    if "reasoner_rewrite.json" in needed:
-        needed.add("verbalizer_rewrite.json")
-    return [a for a in order if a in needed]
+def ensure_dataset(cfg: GlobalConfig, seed: int, out_dir: str, force: bool = False) -> dict[str, str]:
+    """Generate the world of ``seed`` under ``out_dir`` unless all its data
+    files are already there (``force`` regenerates).  Returns {filename: path}."""
+    paths = {name: os.path.join(out_dir, name) for name in DATA_FILES}
+    if force or not all(os.path.exists(p) for p in paths.values()):
+        log.info("seed %d: generating dataset under %s", seed, out_dir)
+        gen_dataset(replace(cfg.world, master_seed=seed), out_dir)
+    return paths
+
+
+def _verbalizer(kind: str, reward_kind: str | None = None):
+    """Trainer for a Stage-1 artifact: a ``kind`` policy, optionally under
+    another reward kind than the config's."""
+
+    def train(cfg: GlobalConfig, seed: int, catalog: Catalog, train_eps, deps, path: str, log_path: str):
+        reward = cfg.reward if reward_kind is None else replace(cfg.reward, kind=reward_kind)
+        params, _ = train_stage1(
+            train_eps, kind, catalog, cfg.grpo_stage1, reward, seed,
+            init_scale=cfg.verbalizer.init_scale, log_path=log_path,
+        )
+        save_policy_params(path, kind, params)
+
+    return train
+
+
+def _reasoner(verbalizer_kind: str):
+    """Trainer for a Stage-2 artifact on the contexts of a frozen verbalizer,
+    whose params file is the one dependency (the fixed template renderer has none)."""
+
+    def train(cfg: GlobalConfig, seed: int, catalog: Catalog, train_eps, deps, path: str, log_path: str):
+        vparams = load_policy_params(deps[0])[1] if deps else None
+        params, _ = train_stage2(
+            train_eps, catalog, verbalizer_kind, vparams, cfg.grpo_stage2, seed,
+            init_scale=cfg.reasoner_init_scale, log_path=log_path,
+        )
+        save_reasoner_params(path, params)
+
+    return train
+
+
+@dataclass(frozen=True)
+class ArtifactSpec:
+    log_file: str  # training log written beside the artifact
+    needs: tuple[str, ...]  # artifacts that must exist first
+    # train(cfg, seed, catalog, train_eps, deps, path, log_path) trains and
+    # writes the artifact; deps are the paths of ``needs``, in order
+    train: Callable[..., None]
+
+
+# Every trained file under a seed directory, in training order: an
+# artifact's needs come before it.
+ARTIFACTS: dict[str, ArtifactSpec] = {
+    "verbalizer_action.json": ArtifactSpec("log_stage1_action.csv", (), _verbalizer("action")),
+    "verbalizer_rewrite.json": ArtifactSpec("log_stage1_rewrite.csv", (), _verbalizer("rewrite")),
+    "verbalizer_rewrite_ranking.json": ArtifactSpec(
+        "log_stage1_rewrite_ranking.csv", (), _verbalizer("rewrite", reward_kind="ranking")
+    ),
+    "reasoner_rewrite.json": ArtifactSpec(
+        "log_stage2_rewrite.csv", ("verbalizer_rewrite.json",), _reasoner("rewrite")
+    ),
+    "reasoner_raw.json": ArtifactSpec("log_stage2_raw.csv", (), _reasoner("template")),
+}
 
 
 def run_seed_pipeline(
@@ -206,59 +246,22 @@ def run_seed_pipeline(
     unknown = [v for v in variants if v not in VARIANT_SPECS]
     if unknown:
         raise EvaluationError(f"unknown variants {unknown}; known: {list(VARIANT_SPECS)}")
-    os.makedirs(seed_dir, exist_ok=True)
-    world = replace(cfg.world, master_seed=seed)
-
-    paths = {name: os.path.join(seed_dir, name) for name in DATA_FILES}
-    if force or not all(os.path.exists(p) for p in paths.values()):
-        log.info("seed %d: generating dataset under %s", seed, seed_dir)
-        gen_dataset(world, seed_dir)
+    paths = ensure_dataset(cfg, seed, seed_dir, force=force)
     catalog = read_catalog(paths["catalog.json"])
     train_eps = read_episodes(paths["train.jsonl"])
 
-    for name in _needed_artifacts(variants):
-        path = os.path.join(seed_dir, name)
-        if not force and os.path.exists(path):
-            paths[name] = path
+    needed = {f for v in variants for f in (VARIANT_SPECS[v].verbalizer_file, VARIANT_SPECS[v].reasoner_file) if f}
+    for name, spec in reversed(ARTIFACTS.items()):
+        if name in needed:
+            needed.update(spec.needs)
+    for name, spec in ARTIFACTS.items():
+        if name not in needed:
             continue
-        log.info("seed %d: training %s", seed, name)
-        if name == "verbalizer_action.json":
-            params, _ = train_stage1(
-                train_eps, "action", catalog, cfg.grpo_stage1, cfg.reward, seed,
-                init_scale=cfg.verbalizer.init_scale,
-                log_path=os.path.join(seed_dir, "log_stage1_action.csv"),
-            )
-            save_policy_params(path, "action", params)
-        elif name == "verbalizer_rewrite.json":
-            params, _ = train_stage1(
-                train_eps, "rewrite", catalog, cfg.grpo_stage1, cfg.reward, seed,
-                init_scale=cfg.verbalizer.init_scale,
-                log_path=os.path.join(seed_dir, "log_stage1_rewrite.csv"),
-            )
-            save_policy_params(path, "rewrite", params)
-        elif name == "verbalizer_rewrite_ranking.json":
-            ranking_reward_cfg = replace(cfg.reward, kind="ranking")
-            params, _ = train_stage1(
-                train_eps, "rewrite", catalog, cfg.grpo_stage1, ranking_reward_cfg, seed,
-                init_scale=cfg.verbalizer.init_scale,
-                log_path=os.path.join(seed_dir, "log_stage1_rewrite_ranking.csv"),
-            )
-            save_policy_params(path, "rewrite", params)
-        elif name == "reasoner_rewrite.json":
-            _, vparams = load_policy_params(paths["verbalizer_rewrite.json"])
-            params, _ = train_stage2(
-                train_eps, catalog, "rewrite", vparams, cfg.grpo_stage2, seed,
-                init_scale=cfg.reasoner_init_scale,
-                log_path=os.path.join(seed_dir, "log_stage2_rewrite.csv"),
-            )
-            save_reasoner_params(path, params)
-        elif name == "reasoner_raw.json":
-            params, _ = train_stage2(
-                train_eps, catalog, "template", None, cfg.grpo_stage2, seed,
-                init_scale=cfg.reasoner_init_scale,
-                log_path=os.path.join(seed_dir, "log_stage2_raw.csv"),
-            )
-            save_reasoner_params(path, params)
+        path = os.path.join(seed_dir, name)
+        if force or not os.path.exists(path):
+            log.info("seed %d: training %s", seed, name)
+            deps = [paths[dep] for dep in spec.needs]
+            spec.train(cfg, seed, catalog, train_eps, deps, path, os.path.join(seed_dir, spec.log_file))
         paths[name] = path
     return paths
 

@@ -1,6 +1,6 @@
-"""Group-relative policy optimization: kernels and the Stage-1 trainer.
+"""Group-relative policy optimization: kernels and the training loop both stages share.
 
-Per iteration the trainer samples a group of G traces per episode under the
+Per iteration ``train_grpo`` samples a group of G traces per episode under the
 snapshotted old policy, normalizes rewards within each group into
 advantages, and then ascends a token-level clipped surrogate
 
@@ -11,7 +11,9 @@ where rho_t is the current/old likelihood ratio of decision t and k3 is the
 non-negative KL estimator u - ln(u) - 1 against a periodically refreshed
 reference policy.  Gradients are exact (the policies are linear-logit, so
 no autodiff is needed); ``finite_diff_check`` is the guard that keeps them
-honest.  Everything here maximizes: the Adam step ascends.
+honest.  Everything here maximizes: the Adam step ascends.  Stage 1
+(``train_stage1``, below) trains a verbalizer against the oracle reward;
+Stage 2 (``reasoner.train_stage2``) trains the candidate scorer.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .domain import Catalog, EpisodeInstance
 from .fsutil import atomic_write_text
 from .oracle import RewardBreakdown, RewardConfig, stage1_reward
 from .rng import derive_rng
-from .verbalizer import ActionPolicy, RewritePolicy
+from .verbalizer import POLICIES
 
 log = logging.getLogger(__name__)
 
@@ -75,18 +77,6 @@ class GrpoConfig:
             raise ValueError(f"ref_refresh_every must be >= 1, got {self.ref_refresh_every}")
 
 
-@dataclass(frozen=True)
-class PolicySnapshot:
-    role: str  # "old" or "reference"
-    params: np.ndarray
-
-
-@dataclass(frozen=True)
-class Snapshots:
-    old: PolicySnapshot
-    reference: PolicySnapshot
-
-
 @dataclass
 class RolloutMember:
     choices: list[int]
@@ -126,12 +116,11 @@ def kl_k3(logp_current: float, logp_reference: float) -> float:
     return math.exp(d) - d - 1.0
 
 
-def _surrogate_pass(policy, params, groups, snapshots: Snapshots, cfg: GrpoConfig, want_grad: bool):
-    """One evaluation of the batch surrogate.
+def _surrogate_pass(policy, params, groups, ref_params: np.ndarray, cfg: GrpoConfig, want_grad: bool):
+    """One evaluation of the batch surrogate against the reference params.
 
     Returns (objective, gradient or None, max |rho - 1| over all tokens).
     """
-    ref_params = snapshots.reference.params
     n_groups = len(groups)
     objective = 0.0
     grad = np.zeros(len(params)) if want_grad else None
@@ -162,13 +151,13 @@ def _surrogate_pass(policy, params, groups, snapshots: Snapshots, cfg: GrpoConfi
     return objective, grad, max_dev
 
 
-def grpo_objective(policy, params: np.ndarray, groups, snapshots: Snapshots, cfg: GrpoConfig) -> float:
-    objective, _, _ = _surrogate_pass(policy, params, groups, snapshots, cfg, want_grad=False)
+def grpo_objective(policy, params: np.ndarray, groups, ref_params: np.ndarray, cfg: GrpoConfig) -> float:
+    objective, _, _ = _surrogate_pass(policy, params, groups, ref_params, cfg, want_grad=False)
     return objective
 
 
-def grpo_gradient(policy, params: np.ndarray, groups, snapshots: Snapshots, cfg: GrpoConfig) -> np.ndarray:
-    _, grad, _ = _surrogate_pass(policy, params, groups, snapshots, cfg, want_grad=True)
+def grpo_gradient(policy, params: np.ndarray, groups, ref_params: np.ndarray, cfg: GrpoConfig) -> np.ndarray:
+    _, grad, _ = _surrogate_pass(policy, params, groups, ref_params, cfg, want_grad=True)
     return grad
 
 
@@ -259,7 +248,7 @@ def read_train_log(path) -> list[TrainLogRow]:
     return rows
 
 
-def grpo_update(policy, params, adam: AdamState, groups, snapshots: Snapshots, cfg: GrpoConfig,
+def grpo_update(policy, params, adam: AdamState, groups, ref_params: np.ndarray, cfg: GrpoConfig,
                 where: str = "training"):
     """Run the inner epochs over one batch of groups.
 
@@ -268,12 +257,115 @@ def grpo_update(policy, params, adam: AdamState, groups, snapshots: Snapshots, c
     objective = 0.0
     max_dev = 0.0
     for epoch in range(cfg.inner_epochs):
-        objective, grad, dev = _surrogate_pass(policy, params, groups, snapshots, cfg, want_grad=True)
+        objective, grad, dev = _surrogate_pass(policy, params, groups, ref_params, cfg, want_grad=True)
         if not math.isfinite(objective) or not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite objective/gradient at {where}, inner epoch {epoch + 1}")
         params, adam = adam_step(adam, params, grad, cfg.lr)
         max_dev = max(max_dev, dev)
     return params, adam, objective, max_dev
+
+
+def sample_group(policy, params: np.ndarray, ctx, reward: Callable[[list[int]], RewardBreakdown],
+                 seed: int, stream: str, first: int, g: int, eps_adv: float) -> RolloutGroup:
+    """G traces of one episode under ``params``, scored and given group advantages.
+
+    Member i samples from the substream (``stream``, ``first + i``).
+    """
+    members = []
+    for i in range(g):
+        trace = policy.sample(params, ctx, derive_rng(seed, stream, first + i))
+        members.append(RolloutMember(trace.choices, trace.logprobs, reward(trace.choices)))
+    for member, adv in zip(members, group_advantages([m.reward.r_total for m in members], eps_adv)):
+        member.advantage = float(adv)
+    return RolloutGroup(ctx, members)
+
+
+def train_grpo(
+    policy,
+    episodes: list[EpisodeInstance],
+    make_ctx: Callable[[EpisodeInstance], tuple[Any, Callable[[list[int]], RewardBreakdown]]],
+    cfg: GrpoConfig,
+    master_seed: int,
+    stream: str,
+    init_scale: float = 0.0,
+    log_path=None,
+):
+    """Train ``policy`` with GRPO; returns (final param vector, log rows).
+
+    ``make_ctx(episode)`` returns the policy context and the episode's
+    reward, ``reward(choices) -> RewardBreakdown``; it runs once per episode
+    and is cached.  Episodes are drawn by cycling the list in order.  The
+    initial params come from substream (``{stream}_init``, 0) and member i
+    of batch slot s samples from (``{stream}_rollout``, s * G + i), so
+    results do not depend on sampling order.
+    """
+    cfg.validate()
+    if not episodes:
+        raise ValueError("no training episodes")
+    params = np.zeros(policy.n_params)
+    if init_scale:
+        init_rng = derive_rng(master_seed, f"{stream}_init", 0)
+        params += init_scale * np.array([init_rng.normal() for _ in range(policy.n_params)])
+    reference = params.copy()
+    adam = AdamState.new(policy.n_params)
+    cache: dict[int, tuple[Any, Callable]] = {}
+    rows: list[TrainLogRow] = []
+    rollout_stream = f"{stream}_rollout"
+    n_roll = cfg.batch_episodes * cfg.g
+
+    for it in range(cfg.iterations):
+        if it > 0 and it % cfg.ref_refresh_every == 0:
+            reference = params.copy()
+        old = params.copy()
+        groups = []
+        for j in range(cfg.batch_episodes):
+            slot = it * cfg.batch_episodes + j
+            idx = slot % len(episodes)
+            if idx not in cache:
+                cache[idx] = make_ctx(episodes[idx])
+            ctx, reward = cache[idx]
+            groups.append(sample_group(policy, old, ctx, reward, master_seed, rollout_stream,
+                                       slot * cfg.g, cfg.g, cfg.eps_adv))
+
+        params, adam, objective, max_dev = grpo_update(
+            policy, params, adam, groups, reference, cfg, where=f"{stream} iteration {it}"
+        )
+        acc_sum = len_sum = ratio_sum = 0.0
+        for group in groups:
+            for member in group.members:
+                acc_sum += member.reward.r_acc
+                len_sum += member.reward.r_len
+                ratio_sum += member.reward.compression_ratio
+        rows.append(
+            TrainLogRow(it, acc_sum / n_roll, len_sum / n_roll, ratio_sum / n_roll, objective, max_dev)
+        )
+        if it % 50 == 0 or it == cfg.iterations - 1:
+            log.info(
+                "%s iter %d: r_acc=%.3f r_len=%.3f ratio=%.3f J=%.4f",
+                stream, it, rows[-1].mean_r_acc, rows[-1].mean_r_len, rows[-1].mean_ratio, objective,
+            )
+
+    if log_path is not None:
+        write_train_log(rows, log_path)
+    return params, rows
+
+
+def stage1_make_ctx(policy, catalog: Catalog, reward: RewardConfig):
+    """``make_ctx`` for Stage 1: the verbalizer context, and the oracle
+    reward of the context a trace renders."""
+
+    def make_ctx(episode: EpisodeInstance):
+        ctx = policy.make_ctx(episode.history)
+
+        def score(choices) -> RewardBreakdown:
+            return stage1_reward(
+                policy.render(ctx, choices), episode, catalog, reward.alpha, reward.weights, reward.shape,
+                reward.kind,
+            )
+
+        return ctx, score
+
+    return make_ctx
 
 
 def train_stage1(
@@ -288,74 +380,14 @@ def train_stage1(
 ):
     """Train a verbalizer policy against the oracle reward.
 
-    Episodes are drawn by cycling the training set in order; rollout RNG is
-    a substream per (iteration, episode slot, group member), so results do
-    not depend on sampling order.  Returns (params dataclass, log rows).
+    Returns (params dataclass, log rows).
     """
-    cfg.validate()
     reward.validate()
-    if policy_kind == "action":
-        policy = ActionPolicy(catalog)
-    elif policy_kind == "rewrite":
-        policy = RewritePolicy(catalog)
-    else:
-        raise ValueError(f"policy kind must be 'action' or 'rewrite', got {policy_kind!r}")
-    if not train_episodes:
-        raise ValueError("no training episodes")
-
-    params = np.zeros(policy.n_params)
-    if init_scale:
-        init_rng = derive_rng(master_seed, f"stage1_{policy_kind}_init", 0)
-        params += init_scale * np.array([init_rng.normal() for _ in range(policy.n_params)])
-    reference = params.copy()
-    adam = AdamState.new(policy.n_params)
-    cache: dict[int, tuple[Any, EpisodeInstance]] = {}
-    rows: list[TrainLogRow] = []
-    n_ep = len(train_episodes)
-
-    for it in range(cfg.iterations):
-        if it > 0 and it % cfg.ref_refresh_every == 0:
-            reference = params.copy()
-        old = params.copy()
-        snapshots = Snapshots(PolicySnapshot("old", old), PolicySnapshot("reference", reference))
-        groups = []
-        acc_sum = len_sum = ratio_sum = 0.0
-        for j in range(cfg.batch_episodes):
-            slot = it * cfg.batch_episodes + j
-            idx = slot % n_ep
-            if idx not in cache:
-                episode = train_episodes[idx]
-                cache[idx] = (policy.make_ctx(episode.history), episode)
-            ctx, episode = cache[idx]
-            members = []
-            for i in range(cfg.g):
-                rng = derive_rng(master_seed, f"stage1_{policy_kind}_rollout", slot * cfg.g + i)
-                trace = policy.sample(old, ctx, rng)
-                context = policy.render(ctx, trace.choices)
-                breakdown = stage1_reward(
-                    context, episode, catalog, reward.alpha, reward.weights, reward.shape, reward.kind
-                )
-                members.append(RolloutMember(trace.choices, trace.logprobs, breakdown))
-                acc_sum += breakdown.r_acc
-                len_sum += breakdown.r_len
-                ratio_sum += breakdown.compression_ratio
-            for member, adv in zip(members, group_advantages([m.reward.r_total for m in members], cfg.eps_adv)):
-                member.advantage = float(adv)
-            groups.append(RolloutGroup(ctx, members))
-
-        params, adam, objective, max_dev = grpo_update(
-            policy, params, adam, groups, snapshots, cfg, where=f"stage1[{policy_kind}] iteration {it}"
-        )
-        n_roll = cfg.batch_episodes * cfg.g
-        rows.append(
-            TrainLogRow(it, acc_sum / n_roll, len_sum / n_roll, ratio_sum / n_roll, objective, max_dev)
-        )
-        if it % 50 == 0 or it == cfg.iterations - 1:
-            log.info(
-                "stage1[%s] iter %d: r_acc=%.3f r_len=%.3f ratio=%.3f J=%.4f",
-                policy_kind, it, rows[-1].mean_r_acc, rows[-1].mean_r_len, rows[-1].mean_ratio, objective,
-            )
-
-    if log_path is not None:
-        write_train_log(rows, log_path)
+    if policy_kind not in POLICIES:
+        raise ValueError(f"policy kind must be one of {list(POLICIES)}, got {policy_kind!r}")
+    policy = POLICIES[policy_kind](catalog)
+    params, rows = train_grpo(
+        policy, train_episodes, stage1_make_ctx(policy, catalog, reward), cfg, master_seed,
+        f"stage1_{policy_kind}", init_scale, log_path,
+    )
     return policy.params_from_vector(params), rows

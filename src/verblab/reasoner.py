@@ -1,41 +1,26 @@
-"""Trainable candidate scorer and the Stage-2 trainer.
+"""Trainable candidate scorer and its Stage-2 set-up.
 
 Where the oracle's weights are fixed, this reasoner learns a 6-weight linear
 softmax over per-candidate match features.  Crucially it sees a watched flag
 the oracle ignores, so Stage-2 training can learn to discount the title-match
 bias toward rewatches and recover discovery targets.  Predictions are
-single-decision trajectories; rewards are +1/-1 on exact target hit, and the
-update kernels are shared with Stage 1.
+single-decision trajectories; rewards are +1/-1 on exact target hit, and
+training runs the same ``grpo.train_grpo`` loop as Stage 1.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from .domain import Catalog, EpisodeInstance, UserHistory, VerbalizedContext
+from .domain import Catalog, EpisodeInstance, VerbalizedContext
 from .fsutil import atomic_write_text
-from .grpo import (
-    AdamState,
-    GrpoConfig,
-    PolicySnapshot,
-    RolloutGroup,
-    RolloutMember,
-    Snapshots,
-    TrainLogRow,
-    group_advantages,
-    grpo_update,
-    write_train_log,
-)
+from .grpo import GrpoConfig, train_grpo
 from .oracle import RewardBreakdown
-from .rng import Rng, derive_rng
-from .verbalizer import frozen_verbalize
-
-log = logging.getLogger(__name__)
+from .rng import Rng
+from .verbalizer import Trace, frozen_verbalize
 
 N_CANDIDATE_FEATURES = 6
 PARAMS_FORMAT_VERSION = 1
@@ -107,18 +92,13 @@ class ReasonerPolicy:
     kind = "reasoner"
     n_params = N_CANDIDATE_FEATURES
 
-    def make_ctx(self, features: np.ndarray) -> np.ndarray:
-        return features
-
     @staticmethod
     def _log_softmax(params: np.ndarray, feats: np.ndarray) -> np.ndarray:
         z = feats @ params
         z = z - z.max()
         return z - np.log(np.exp(z).sum())
 
-    def sample(self, params: np.ndarray, ctx: np.ndarray, rng: Rng):
-        from .verbalizer import Trace
-
+    def sample(self, params: np.ndarray, ctx: np.ndarray, rng: Rng) -> Trace:
         logp = self._log_softmax(params, ctx)
         probs = np.exp(logp)
         cum = np.cumsum(probs)
@@ -144,6 +124,25 @@ class ReasonerPolicy:
         return ReasonerParams.from_vector(vec)
 
 
+def stage2_make_ctx(catalog: Catalog, verbalizer_kind: str, verbalizer_params):
+    """``make_ctx`` for Stage 2: the candidate features of the frozen
+    verbalizer's context, and the +/-1 hit reward (logged with the
+    context's compression ratio)."""
+
+    def make_ctx(episode: EpisodeInstance):
+        context = frozen_verbalize(verbalizer_kind, verbalizer_params, episode.history, catalog)
+        feats = episode_candidate_features(context, episode, catalog)
+        ratio = context.compression_ratio
+
+        def score(choices) -> RewardBreakdown:
+            r = stage2_reward(choices[0], episode.target_index)
+            return RewardBreakdown(r_acc=(r + 1.0) / 2.0, r_len=0.0, r_total=r, compression_ratio=ratio)
+
+        return feats, score
+
+    return make_ctx
+
+
 def train_stage2(
     train_episodes: list[EpisodeInstance],
     catalog: Catalog,
@@ -159,63 +158,10 @@ def train_stage2(
     The verbalizer decodes greedily once per episode (contexts are cached);
     only the reasoner's weights move.  Returns (ReasonerParams, log rows).
     """
-    cfg.validate()
-    if not train_episodes:
-        raise ValueError("no training episodes")
-    policy = ReasonerPolicy()
-    params = np.zeros(policy.n_params)
-    if init_scale:
-        init_rng = derive_rng(master_seed, f"stage2_{verbalizer_kind}_init", 0)
-        params += init_scale * np.array([init_rng.normal() for _ in range(policy.n_params)])
-    reference = params.copy()
-    adam = AdamState.new(policy.n_params)
-    cache: dict[int, tuple[np.ndarray, EpisodeInstance, float]] = {}
-    rows: list[TrainLogRow] = []
-    n_ep = len(train_episodes)
-
-    for it in range(cfg.iterations):
-        if it > 0 and it % cfg.ref_refresh_every == 0:
-            reference = params.copy()
-        old = params.copy()
-        snapshots = Snapshots(PolicySnapshot("old", old), PolicySnapshot("reference", reference))
-        groups = []
-        acc_sum = ratio_sum = 0.0
-        for j in range(cfg.batch_episodes):
-            slot = it * cfg.batch_episodes + j
-            idx = slot % n_ep
-            if idx not in cache:
-                episode = train_episodes[idx]
-                context = frozen_verbalize(verbalizer_kind, verbalizer_params, episode.history, catalog)
-                feats = episode_candidate_features(context, episode, catalog)
-                cache[idx] = (feats, episode, context.compression_ratio)
-            feats, episode, ratio = cache[idx]
-            members = []
-            for i in range(cfg.g):
-                rng = derive_rng(master_seed, f"stage2_{verbalizer_kind}_rollout", slot * cfg.g + i)
-                trace = policy.sample(old, feats, rng)
-                r = stage2_reward(trace.choices[0], episode.target_index)
-                breakdown = RewardBreakdown(r_acc=(r + 1.0) / 2.0, r_len=0.0, r_total=r, compression_ratio=ratio)
-                members.append(RolloutMember(trace.choices, trace.logprobs, breakdown))
-                acc_sum += breakdown.r_acc
-                ratio_sum += ratio
-            for member, adv in zip(members, group_advantages([m.reward.r_total for m in members], cfg.eps_adv)):
-                member.advantage = float(adv)
-            groups.append(RolloutGroup(feats, members))
-
-        params, adam, objective, max_dev = grpo_update(
-            policy, params, adam, groups, snapshots, cfg,
-            where=f"stage2[{verbalizer_kind}] iteration {it}",
-        )
-        n_roll = cfg.batch_episodes * cfg.g
-        rows.append(TrainLogRow(it, acc_sum / n_roll, 0.0, ratio_sum / n_roll, objective, max_dev))
-        if it % 50 == 0 or it == cfg.iterations - 1:
-            log.info(
-                "stage2[%s] iter %d: hit_rate=%.3f J=%.4f",
-                verbalizer_kind, it, rows[-1].mean_r_acc, objective,
-            )
-
-    if log_path is not None:
-        write_train_log(rows, log_path)
+    params, rows = train_grpo(
+        ReasonerPolicy(), train_episodes, stage2_make_ctx(catalog, verbalizer_kind, verbalizer_params), cfg,
+        master_seed, f"stage2_{verbalizer_kind}", init_scale, log_path,
+    )
     return ReasonerParams.from_vector(params), rows
 
 

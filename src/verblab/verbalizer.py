@@ -124,14 +124,10 @@ class RewritePolicyParams:
 # features
 
 
-def interaction_features(history: UserHistory, t: int) -> np.ndarray:
-    """Feature vector for record ``t``:
+def history_features(history: UserHistory) -> np.ndarray:
+    """(n_records, 10) features; row t is
     [bias, eng one-hot x3, duration one-hot x3, recency bucket (0/0.5/1),
     same_item_as_prev, run_length/5].  All entries lie in [0, 1]."""
-    return history_features(history)[t]
-
-
-def history_features(history: UserHistory) -> np.ndarray:
     records = history.records
     n = len(records)
     feats = np.zeros((n, N_FEATURES))
@@ -162,27 +158,21 @@ def _signal_eligible(record) -> bool:
 
 
 class _VerbCtx:
-    __slots__ = ("history", "catalog", "feats", "merge_ok", "genre_idx", "sig_mask", "template_len")
+    __slots__ = ("history", "feats", "merge_ok", "genre_idx", "sig_mask")
 
-    def __init__(self, history: UserHistory, catalog: Catalog | None):
+    def __init__(self, history: UserHistory, catalog: Catalog):
         self.history = history
-        self.catalog = catalog
         self.feats = history_features(history)
         records = history.records
-        self.template_len = TOKENS_PER_TEMPLATE_RECORD * len(records)
+        # True where MERGE_PREV is legal: the previous record has the same item
         self.merge_ok = np.array(
             [t > 0 and records[t - 1].item_id == records[t].item_id for t in range(len(records))]
         )
-        if catalog is not None:
-            self.genre_idx = np.array(
-                [GENRES.index(catalog.meta(r.item_id).genre) for r in records]
-            )
-        else:
-            self.genre_idx = None
+        self.genre_idx = np.array([GENRES.index(catalog.meta(r.item_id).genre) for r in records])
         self.sig_mask = np.array([_signal_eligible(r) for r in records])
 
 
-def make_verb_ctx(history: UserHistory, catalog: Catalog | None = None) -> _VerbCtx:
+def make_verb_ctx(history: UserHistory, catalog: Catalog) -> _VerbCtx:
     return _VerbCtx(history, catalog)
 
 
@@ -288,6 +278,9 @@ class ActionPolicy:
         return Trace(choices.tolist(), self.logprobs(params, ctx, choices.tolist()))
 
     def logprobs(self, params: np.ndarray, ctx: _VerbCtx, choices) -> np.ndarray:
+        n = len(ctx.history.records)
+        if len(choices) != 2 * n:
+            raise ValueError(f"action trace must have 2 decisions per record ({2 * n}), got {len(choices)}")
         z_keep, z_enrich = self._heads(params, ctx.feats)
         c = np.asarray(choices)
         out = np.empty(len(c))
@@ -319,32 +312,6 @@ class ActionPolicy:
         return ActionPolicyParams.from_vector(vec)
 
 
-def action_sample(params: ActionPolicyParams, history: UserHistory, rng: Rng) -> Trace:
-    ctx = make_verb_ctx(history)
-    z_keep = ctx.feats @ params.keep_weights
-    z_enrich = ctx.feats @ params.enrich_weights
-    n = len(z_keep)
-    us = np.array(rng.randoms(2 * n))
-    choices = np.empty(2 * n, dtype=np.int64)
-    choices[0::2] = (us[0::2] < _sigmoid(z_keep)).astype(np.int64)
-    choices[1::2] = (us[1::2] < _sigmoid(z_enrich)).astype(np.int64)
-    return Trace(choices.tolist(), action_logprobs(params, history, choices.tolist()))
-
-
-def action_logprobs(params: ActionPolicyParams, history: UserHistory, choices) -> np.ndarray:
-    if len(choices) != 2 * len(history.records):
-        raise ValueError(
-            f"action trace must have 2 decisions per record "
-            f"({2 * len(history.records)}), got {len(choices)}"
-        )
-    feats = history_features(history)
-    c = np.asarray(choices)
-    out = np.empty(len(c))
-    out[0::2] = _bernoulli_logprobs(feats @ params.keep_weights, c[0::2])
-    out[1::2] = _bernoulli_logprobs(feats @ params.enrich_weights, c[1::2])
-    return out
-
-
 def render_actions(history: UserHistory, choices, catalog: Catalog) -> VerbalizedContext:
     """Kept records render [TITLE x2, ENG]; enriched ones add [GENRE, TAG x3]."""
     records = history.records
@@ -365,14 +332,6 @@ def render_actions(history: UserHistory, choices, catalog: Catalog) -> Verbalize
 
 # ---------------------------------------------------------------------------
 # rewrite policy (masked 4-way segment choice + per-genre preference heads)
-
-
-def merge_mask(history: UserHistory) -> np.ndarray:
-    """True where MERGE_PREV is legal: the previous record has the same item."""
-    records = history.records
-    return np.array(
-        [t > 0 and records[t - 1].item_id == records[t].item_id for t in range(len(records))]
-    )
 
 
 def pref_feature_matrix(ctx: _VerbCtx, seg_choices) -> np.ndarray:
@@ -466,14 +425,6 @@ class RewritePolicy:
         return RewritePolicyParams.from_vector(vec)
 
 
-def rewrite_sample(params: RewritePolicyParams, history: UserHistory, catalog: Catalog, rng: Rng) -> Trace:
-    return RewritePolicy(catalog).sample(params.to_vector(), make_verb_ctx(history, catalog), rng)
-
-
-def rewrite_logprobs(params: RewritePolicyParams, history: UserHistory, catalog: Catalog, choices) -> np.ndarray:
-    return RewritePolicy(catalog).logprobs(params.to_vector(), make_verb_ctx(history, catalog), choices)
-
-
 def render_rewrite(history: UserHistory, choices, catalog: Catalog) -> VerbalizedContext:
     """Fold segment choices into rendered segments, then preference tokens.
 
@@ -526,6 +477,10 @@ def render_rewrite(history: UserHistory, choices, catalog: Catalog) -> Verbalize
     return VerbalizedContext(tokens, TOKENS_PER_TEMPLATE_RECORD * n)
 
 
+# The learnable verbalizer policies by kind.
+POLICIES = {"action": ActionPolicy, "rewrite": RewritePolicy}
+
+
 def frozen_verbalize(kind: str, params, history: UserHistory, catalog: Catalog) -> VerbalizedContext:
     """Deterministic context from a frozen verbalizer.
 
@@ -536,15 +491,11 @@ def frozen_verbalize(kind: str, params, history: UserHistory, catalog: Catalog) 
         return render_template(history, catalog)
     if kind == "zero_shot":
         return heuristic_verbalize(history, catalog)
-    if kind == "action":
-        policy = ActionPolicy(catalog)
-        ctx = policy.make_ctx(history)
-        return policy.render(ctx, policy.greedy(params.to_vector(), ctx))
-    if kind == "rewrite":
-        policy = RewritePolicy(catalog)
-        ctx = policy.make_ctx(history)
-        return policy.render(ctx, policy.greedy(params.to_vector(), ctx))
-    raise ValueError(f"unknown verbalizer kind {kind!r}")
+    if kind not in POLICIES:
+        raise ValueError(f"unknown verbalizer kind {kind!r}")
+    policy = POLICIES[kind](catalog)
+    ctx = policy.make_ctx(history)
+    return policy.render(ctx, policy.greedy(params.to_vector(), ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ class TestParsing:
                 "reasoner": {"init_scale": 0.1},
                 "ablate": {"seeds": [7], "variants": ["template", "zero_shot"]},
                 "paths": {"out_dir": "elsewhere"},
-                "determinism": False,
             }
         )
         assert cfg.world.n_items == 50
@@ -78,7 +77,6 @@ class TestParsing:
         assert cfg.reasoner_init_scale == 0.1
         assert cfg.ablate.seeds == (7,)
         assert cfg.out_dir == "elsewhere"
-        assert cfg.determinism is False
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown top-level keys \\['extra'\\]"):
@@ -87,6 +85,16 @@ class TestParsing:
     def test_unknown_section_key(self):
         with pytest.raises(ConfigError, match="world: unknown keys \\['n_users'\\]"):
             config_from_dict({"world": {"n_users": 3}})
+
+    @pytest.mark.parametrize("section", ["reward", "reasoner", "paths"])
+    def test_unknown_key_names_the_section(self, section):
+        with pytest.raises(ConfigError, match=f"{section}: unknown keys \\['extra'\\]"):
+            config_from_dict({section: {"extra": 1}})
+
+    def test_determinism_is_not_a_key(self):
+        # it was parsed and never read; it is an unknown key like any other
+        with pytest.raises(ConfigError, match="unknown top-level keys \\['determinism'\\]"):
+            config_from_dict({"determinism": True})
 
     def test_root_must_be_object(self):
         with pytest.raises(ConfigError, match="config root must be an object"):
@@ -102,9 +110,11 @@ class TestParsing:
             ({"world": {"n_items": "many"}}, "world.n_items"),
             ({"world": {"n_items": True}}, "world.n_items"),
             ({"world": {"p_noise": "0.5"}}, "world.p_noise"),
-            ({"determinism": 1}, "determinism"),
+            ({"reward": {"lo_zero": "0.05"}}, "reward.lo_zero"),
             ({"ablate": {"seeds": [1, "2"]}}, "ablate.seeds"),
             ({"ablate": {"variants": "template"}}, "ablate.variants"),
+            ({"reasoner": {"init_scale": "0.1"}}, "reasoner.init_scale"),
+            ({"paths": {"out_dir": 3}}, "paths.out_dir"),
         ],
     )
     def test_type_errors_name_the_field(self, obj, where):

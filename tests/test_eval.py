@@ -16,12 +16,13 @@ from verblab.domain import (
     ItemMeta,
     UserHistory,
 )
+from verblab import evaluation
 from verblab.evaluation import (
+    ARTIFACTS,
     VARIANT_SPECS,
     EvaluationError,
     Metrics,
     ReportRow,
-    _needed_artifacts,
     _rel_improvement,
     emit_report,
     evaluate,
@@ -78,15 +79,31 @@ class TestVariantTable:
             if spec.verbalizer_kind in ("template", "zero_shot"):
                 assert spec.verbalizer_file is None
 
-    def test_needed_artifacts_order_and_dependencies(self):
-        assert _needed_artifacts(["template", "zero_shot"]) == []
-        assert _needed_artifacts(["action"]) == ["verbalizer_action.json"]
+    def test_artifact_table_order_and_dependencies(self, tmp_path, monkeypatch):
+        names = list(ARTIFACTS)
+        for i, spec in enumerate(ARTIFACTS.values()):
+            assert all(names.index(dep) < i for dep in spec.needs)
+        for spec in VARIANT_SPECS.values():
+            assert {spec.verbalizer_file, spec.reasoner_file} - {None} <= set(ARTIFACTS)
+        assert len({spec.log_file for spec in ARTIFACTS.values()}) == len(ARTIFACTS)
+
+        # which entries the pipeline trains, in order, with trainers that only record the call
+        trained = []
+        monkeypatch.setattr(evaluation, "ARTIFACTS", {
+            name: replace(spec, train=lambda *args, name=name: trained.append(name))
+            for name, spec in ARTIFACTS.items()
+        })
+
+        def plan(variants):
+            trained.clear()
+            run_seed_pipeline(small_cfg(), 11, str(tmp_path), variants=variants)
+            return list(trained)
+
+        assert plan(["template", "zero_shot"]) == []
+        assert plan(["action"]) == ["verbalizer_action.json"]
         # the rewrite-context reasoner drags in its verbalizer
-        assert _needed_artifacts(["rewrite_trained_reasoner"]) == [
-            "verbalizer_rewrite.json",
-            "reasoner_rewrite.json",
-        ]
-        assert _needed_artifacts(["raw_trained_reasoner"]) == ["reasoner_raw.json"]
+        assert plan(["rewrite_trained_reasoner"]) == ["verbalizer_rewrite.json", "reasoner_rewrite.json"]
+        assert plan(["raw_trained_reasoner"]) == ["reasoner_raw.json"]
 
 
 class TestRelImprovement:

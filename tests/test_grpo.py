@@ -1,4 +1,4 @@
-"""GRPO kernels, optimizer, and the Stage-1 training loop."""
+"""GRPO kernels, optimizer, the shared training loop and its Stage-1 set-up."""
 
 import math
 
@@ -12,10 +12,8 @@ from verblab.domain import GENRES, TAG_POOL
 from verblab.grpo import (
     AdamState,
     GrpoConfig,
-    PolicySnapshot,
     RolloutGroup,
     RolloutMember,
-    Snapshots,
     TrainLogRow,
     TrainingError,
     adam_step,
@@ -154,22 +152,19 @@ class TestObjective:
         self.episode = tiny_episode(self.catalog)
         self.cfg = GrpoConfig(g=4, beta_kl=0.02)
 
-    def snapshots(self, old):
-        return Snapshots(PolicySnapshot("old", old.copy()), PolicySnapshot("reference", old.copy()))
-
     def test_zero_advantages_give_zero_objective(self):
         old = np.zeros(self.policy.n_params)
         group = build_group(self.policy, old, self.episode, 4, [1, 1, 1, 1])
         assert all(m.advantage == 0.0 for m in group.members)
-        j = grpo_objective(self.policy, old, [group], self.snapshots(old), self.cfg)
+        j = grpo_objective(self.policy, old, [group], old.copy(), self.cfg)
         assert j == 0.0
-        g = grpo_gradient(self.policy, old, [group], self.snapshots(old), GrpoConfig(g=4, beta_kl=0.0))
+        g = grpo_gradient(self.policy, old, [group], old.copy(), GrpoConfig(g=4, beta_kl=0.0))
         assert np.array_equal(g, np.zeros_like(old))
 
     def test_normalized_advantages_average_out_at_identity(self):
         old = np.zeros(self.policy.n_params)
         group = build_group(self.policy, old, self.episode, 4, [1, 0, 0, 1])
-        j = grpo_objective(self.policy, old, [group], self.snapshots(old), self.cfg)
+        j = grpo_objective(self.policy, old, [group], old.copy(), self.cfg)
         # at rho=1 each member's token-mean equals its advantage; they cancel
         assert abs(j) < 1e-12
 
@@ -179,14 +174,14 @@ class TestObjective:
         for m in group.members:
             m.advantage = 1.0
         cfg = GrpoConfig(g=4, beta_kl=0.0)
-        j = grpo_objective(self.policy, old, [group], self.snapshots(old), cfg)
+        j = grpo_objective(self.policy, old, [group], old.copy(), cfg)
         assert j == pytest.approx(1.0, abs=1e-12)
 
     def test_kl_gradient_vanishes_at_reference(self):
         old = np.full(self.policy.n_params, -0.2)
         group = build_group(self.policy, old, self.episode, 4, [1, 1, 1, 1])
         cfg = GrpoConfig(g=4, beta_kl=0.5)
-        g = grpo_gradient(self.policy, old, [group], self.snapshots(old), cfg)
+        g = grpo_gradient(self.policy, old, [group], old.copy(), cfg)
         assert np.max(np.abs(g)) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
@@ -199,11 +194,11 @@ class TestObjective:
                 build_group(policy, old, tiny_episode(self.catalog, t), 2, [1, 0], seed=t)
                 for t in (1, 2, 3)
             ]
-            snaps = Snapshots(PolicySnapshot("old", old), PolicySnapshot("reference", old.copy()))
+            ref = old.copy()
             cfg = GrpoConfig(g=2, beta_kl=0.02)
-            grad = grpo_gradient(policy, cur, groups, snaps, cfg)
+            grad = grpo_gradient(policy, cur, groups, ref, cfg)
             err = finite_diff_check(
-                lambda p: grpo_objective(policy, p, groups, snaps, cfg), grad, cur, h=1e-5
+                lambda p: grpo_objective(policy, p, groups, ref, cfg), grad, cur, h=1e-5
             )
             assert err < 1e-4, f"{policy.kind}: {err}"
 
@@ -356,6 +351,5 @@ class TestGrpoUpdateErrors:
         old = np.zeros(policy.n_params)
         group = build_group(policy, old, tiny_episode(catalog), 2, [1, 0])
         group.members[0].advantage = float("inf")
-        snaps = Snapshots(PolicySnapshot("old", old), PolicySnapshot("reference", old.copy()))
         with np.errstate(invalid="ignore"), pytest.raises(TrainingError, match="non-finite"):
-            grpo_update(policy, old, AdamState.new(policy.n_params), [group], snaps, GrpoConfig(g=2), where="test")
+            grpo_update(policy, old, AdamState.new(policy.n_params), [group], old.copy(), GrpoConfig(g=2), where="test")

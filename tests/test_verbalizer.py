@@ -27,20 +27,13 @@ from verblab.verbalizer import (
     HeuristicRules,
     RewritePolicy,
     RewritePolicyParams,
-    action_logprobs,
-    action_sample,
     frozen_verbalize,
     heuristic_verbalize,
     history_features,
-    interaction_features,
     load_policy_params,
-    make_verb_ctx,
-    merge_mask,
     render_actions,
     render_rewrite,
     render_template,
-    rewrite_logprobs,
-    rewrite_sample,
     save_policy_params,
 )
 
@@ -133,26 +126,26 @@ class TestHeuristic:
 class TestFeatures:
     def test_first_record_play_short(self):
         h = hist(rec(0, dur=5.0, eng="play"), rec(1, day=101), rec(2, day=102))
-        f = interaction_features(h, 0)
+        f = history_features(h)[0]
         assert f.tolist() == [1, 1, 0, 0, 1, 0, 0, 0, 0, 1 / 5]
 
     def test_third_consecutive_same_item(self):
         h = hist(rec(7), rec(7, day=101), rec(7, day=102))
-        f = interaction_features(h, 2)
+        f = history_features(h)[2]
         assert f[8] == 1.0
         assert f[9] == 3 / 5
 
     def test_run_length_clamps_at_norm(self):
         h = hist(*[rec(3, day=100 + i) for i in range(8)])
-        assert interaction_features(h, 7)[9] == 1.0
+        assert history_features(h)[7, 9] == 1.0
 
     def test_recency_thirds(self):
         h = hist(*[rec(i, day=100 + i) for i in range(3)])
-        assert [interaction_features(h, t)[7] for t in range(3)] == [0.0, 0.5, 1.0]
+        assert history_features(h)[:, 7].tolist() == [0.0, 0.5, 1.0]
 
     def test_engagement_and_duration_one_hots(self):
         h = hist(rec(0, eng="add_to_list", dur=60.0))
-        f = interaction_features(h, 0)
+        f = history_features(h)[0]
         assert f[1:4].tolist() == [0, 0, 1]
         assert f[4:7].tolist() == [0, 1, 0]
 
@@ -202,22 +195,17 @@ class TestActionPolicy:
     def test_logprobs_match_hand_sigmoid(self):
         h = hist(rec(0, dur=5.0, eng="play"))
         params = ActionPolicyParams(np.full(10, 0.25), np.full(10, -0.5))
-        lp = action_logprobs(params, h, [1, 0])
-        f = interaction_features(h, 0)
+        lp = self.policy.logprobs(params.to_vector(), self.policy.make_ctx(h), [1, 0])
+        f = history_features(h)[0]
         z_keep = float(f @ params.keep_weights)
         z_enr = float(f @ params.enrich_weights)
         assert lp[0] == pytest.approx(math.log(1 / (1 + math.exp(-z_keep))), abs=1e-12)
         assert lp[1] == pytest.approx(math.log(1 - 1 / (1 + math.exp(-z_enr))), abs=1e-12)
 
     def test_trace_length_enforced(self):
+        ctx = self.policy.make_ctx(hist(rec(0)))
         with pytest.raises(ValueError, match="2 decisions per record"):
-            action_logprobs(ActionPolicyParams.zeros(), self.history, [1, 0, 1])
-
-    def test_module_level_sample_agrees(self):
-        params = ActionPolicyParams.zeros()
-        a = action_sample(params, self.history, derive_rng(9, "s", 0))
-        b = self.policy.sample(params.to_vector(), self.ctx, derive_rng(9, "s", 0))
-        assert a.choices == b.choices
+            self.policy.logprobs(np.zeros(20), ctx, [1, 0, 1])
 
     def test_path_probabilities_sum_to_one(self):
         params = np.array([derive_rng(4, "p", i).normal() * 0.7 for i in range(20)])
@@ -259,8 +247,8 @@ class TestRewritePolicy:
         return self.policy.make_ctx(hist(*records))
 
     def test_merge_mask(self):
-        h = hist(rec(0), rec(0, day=101), rec(1, day=102), rec(1, day=103))
-        assert merge_mask(h).tolist() == [False, True, False, True]
+        ctx = self.ctx_for(rec(0), rec(0, day=101), rec(1, day=102), rec(1, day=103))
+        assert ctx.merge_ok.tolist() == [False, True, False, True]
 
     def test_zero_params_uniform_over_unmasked(self):
         ctx = self.ctx_for(rec(0), rec(1, day=101))
@@ -341,16 +329,6 @@ class TestRewritePolicy:
                 lp = self.policy.logprobs(params, ctx, list(seg) + list(prefs))
                 total += math.exp(float(np.sum(lp)))
         assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_module_level_wrappers_agree(self):
-        h = hist(rec(0), rec(0, day=101))
-        params = RewritePolicyParams.zeros()
-        a = rewrite_sample(params, h, self.catalog, derive_rng(11, "r", 0))
-        ctx = self.policy.make_ctx(h)
-        b = self.policy.sample(params.to_vector(), ctx, derive_rng(11, "r", 0))
-        assert a.choices == b.choices
-        lp = rewrite_logprobs(params, h, self.catalog, a.choices)
-        assert np.array_equal(lp, a.logprobs)
 
 
 class TestRewriteRender:
