@@ -49,7 +49,7 @@ from .oracle import (
     ranking_reward,
     stage1_reward,
 )
-from .reasoner import ReasonerParams, reasoner_probs, stage2_reward, train_stage2
+from .reasoner import ReasonerParams, stage2_reward, train_stage2
 from .rng import Rng, derive_rng, splitmix64_stream, substream_seed
 from .synthworld import GenerationError, WorldConfig, gen_catalog, gen_dataset, gen_episode, gen_history
 from .verbalizer import (

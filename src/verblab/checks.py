@@ -26,7 +26,7 @@ from .grpo import (
     grpo_objective,
     group_advantages,
     kl_k3,
-    sample_group,
+    sample_groups,
     stage1_make_ctx,
     train_stage1,
 )
@@ -84,11 +84,8 @@ def _sample_groups(kind: str, episodes, catalog, old_params, g: int, eps_adv: fl
         make_ctx = stage2_make_ctx(catalog, "template", None)
     else:
         make_ctx = stage1_make_ctx(policy, catalog, RewardConfig())
-    groups = [
-        sample_group(policy, old_params, *make_ctx(ep), seed, f"check_rollout_{kind}", j * g, g, eps_adv)
-        for j, ep in enumerate(episodes)
-    ]
-    return policy, groups
+    batch = [make_ctx(ep) for ep in episodes]
+    return policy, sample_groups(policy, old_params, batch, seed, f"check_rollout_{kind}", 0, g, eps_adv)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +132,7 @@ def _reinforce_oracle(policy, groups, params: np.ndarray, h: float = 1e-5) -> np
     def objective(p: np.ndarray) -> float:
         total = 0.0
         for group in groups:
-            for m in group.members:
-                lp = policy.logprobs(p, group.ctx, m.choices)
+            for m, lp in zip(group.members, policy.logprobs(p, group.ctx, group.choices)):
                 total += m.advantage * float(lp.sum()) / (len(lp) * len(group.members) * len(groups))
         return total
 

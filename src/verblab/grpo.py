@@ -22,15 +22,15 @@ import csv
 import io
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from .domain import Catalog, EpisodeInstance
 from .fsutil import atomic_write_text
-from .oracle import RewardBreakdown, RewardConfig, stage1_reward
-from .rng import derive_rng
+from .oracle import EpisodeMatches, RewardBreakdown, RewardConfig, count_scores, scores_reward
+from .rng import derive_rng, substream_randoms
 from .verbalizer import POLICIES
 
 log = logging.getLogger(__name__)
@@ -79,7 +79,7 @@ class GrpoConfig:
 
 @dataclass
 class RolloutMember:
-    choices: list[int]
+    choices: np.ndarray  # one entry per decision
     old_logprobs: np.ndarray  # recorded at sampling time, one per decision
     reward: RewardBreakdown
     advantage: float = 0.0
@@ -89,6 +89,13 @@ class RolloutMember:
 class RolloutGroup:
     ctx: Any  # opaque episode context understood by the policy
     members: list[RolloutMember]
+    # the members' choices and old log-probs stacked, one row per member
+    choices: np.ndarray = field(init=False, repr=False)
+    old_logprobs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.choices = np.array([m.choices for m in self.members])
+        self.old_logprobs = np.array([m.old_logprobs for m in self.members])
 
 
 # ---------------------------------------------------------------------------
@@ -116,48 +123,60 @@ def kl_k3(logp_current: float, logp_reference: float) -> float:
     return math.exp(d) - d - 1.0
 
 
-def _surrogate_pass(policy, params, groups, ref_params: np.ndarray, cfg: GrpoConfig, want_grad: bool):
-    """One evaluation of the batch surrogate against the reference params.
+def reference_logprobs(policy, ref_params: np.ndarray, groups) -> list[np.ndarray]:
+    """Each group's (G, n_decisions) log-probs under the reference params."""
+    return [policy.logprobs(ref_params, group.ctx, group.choices) for group in groups]
 
-    Returns (objective, gradient or None, max |rho - 1| over all tokens).
+
+def _surrogate_pass(policy, params, groups, refs: list[np.ndarray], cfg: GrpoConfig, want_grad: bool):
+    """One evaluation of the batch surrogate, given each group's reference
+    log-probs (``reference_logprobs``).
+
+    Each group's terms are computed as (G, n_decisions) arrays, but summed
+    into the objective and the gradient member by member, in member order,
+    so the result does not depend on how members are batched.  Returns
+    (objective, gradient or None, max |rho - 1| over all tokens).
     """
     n_groups = len(groups)
     objective = 0.0
     grad = np.zeros(len(params)) if want_grad else None
     max_dev = 0.0
-    for group in groups:
-        n_members = len(group.members)
-        for member in group.members:
-            cur = policy.logprobs(params, group.ctx, member.choices)
-            ref = policy.logprobs(ref_params, group.ctx, member.choices)
-            rho = np.exp(cur - member.old_logprobs)
-            adv = member.advantage
-            unclipped = rho * adv
-            clamped = np.clip(rho, 1.0 - cfg.eps_clip, 1.0 + cfg.eps_clip) * adv
-            term = np.minimum(unclipped, clamped)
-            d = ref - cur
-            u = np.exp(d)
-            k3 = u - d - 1.0
-            n_tok = len(cur)
-            objective += float(np.sum(term - cfg.beta_kl * k3)) / (n_tok * n_members * n_groups)
-            max_dev = max(max_dev, float(np.max(np.abs(rho - 1.0))))
-            if want_grad:
-                # d(term)/d(logp_cur): adv*rho on the unclipped branch (ties
-                # included), 0 where the clamped branch is strictly smaller
-                # (rho is then outside the clip band, so the clamp is flat).
-                ind = unclipped <= clamped
-                coeffs = (ind * adv * rho - cfg.beta_kl * (1.0 - u)) / (n_tok * n_members * n_groups)
-                grad += policy.grad_accum(params, group.ctx, member.choices, coeffs)
+    for group, ref in zip(groups, refs):
+        cur = policy.logprobs(params, group.ctx, group.choices)
+        rho = np.exp(cur - group.old_logprobs)
+        adv = np.array([m.advantage for m in group.members])[:, None]
+        unclipped = rho * adv
+        clamped = np.clip(rho, 1.0 - cfg.eps_clip, 1.0 + cfg.eps_clip) * adv
+        term = np.minimum(unclipped, clamped)
+        d = ref - cur
+        u = np.exp(d)
+        k3 = u - d - 1.0
+        n_members, n_tok = cur.shape
+        scale = n_tok * n_members * n_groups
+        for member_sum in np.sum(term - cfg.beta_kl * k3, axis=1).tolist():
+            objective += member_sum / scale
+        for dev in np.max(np.abs(rho - 1.0), axis=1).tolist():
+            max_dev = max(max_dev, dev)
+        if want_grad:
+            # d(term)/d(logp_cur): adv*rho on the unclipped branch (ties
+            # included), 0 where the clamped branch is strictly smaller
+            # (rho is then outside the clip band, so the clamp is flat).
+            ind = unclipped <= clamped
+            coeffs = (ind * adv * rho - cfg.beta_kl * (1.0 - u)) / scale
+            for partial in policy.grad_accum(params, group.ctx, group.choices, coeffs):
+                grad += partial
     return objective, grad, max_dev
 
 
 def grpo_objective(policy, params: np.ndarray, groups, ref_params: np.ndarray, cfg: GrpoConfig) -> float:
-    objective, _, _ = _surrogate_pass(policy, params, groups, ref_params, cfg, want_grad=False)
+    refs = reference_logprobs(policy, ref_params, groups)
+    objective, _, _ = _surrogate_pass(policy, params, groups, refs, cfg, want_grad=False)
     return objective
 
 
 def grpo_gradient(policy, params: np.ndarray, groups, ref_params: np.ndarray, cfg: GrpoConfig) -> np.ndarray:
-    _, grad, _ = _surrogate_pass(policy, params, groups, ref_params, cfg, want_grad=True)
+    refs = reference_logprobs(policy, ref_params, groups)
+    _, grad, _ = _surrogate_pass(policy, params, groups, refs, cfg, want_grad=True)
     return grad
 
 
@@ -256,8 +275,9 @@ def grpo_update(policy, params, adam: AdamState, groups, ref_params: np.ndarray,
     """
     objective = 0.0
     max_dev = 0.0
+    refs = reference_logprobs(policy, ref_params, groups)  # fixed across the inner epochs
     for epoch in range(cfg.inner_epochs):
-        objective, grad, dev = _surrogate_pass(policy, params, groups, ref_params, cfg, want_grad=True)
+        objective, grad, dev = _surrogate_pass(policy, params, groups, refs, cfg, want_grad=True)
         if not math.isfinite(objective) or not np.all(np.isfinite(grad)):
             raise TrainingError(f"non-finite objective/gradient at {where}, inner epoch {epoch + 1}")
         params, adam = adam_step(adam, params, grad, cfg.lr)
@@ -265,25 +285,32 @@ def grpo_update(policy, params, adam: AdamState, groups, ref_params: np.ndarray,
     return params, adam, objective, max_dev
 
 
-def sample_group(policy, params: np.ndarray, ctx, reward: Callable[[list[int]], RewardBreakdown],
-                 seed: int, stream: str, first: int, g: int, eps_adv: float) -> RolloutGroup:
-    """G traces of one episode under ``params``, scored and given group advantages.
+def sample_groups(policy, params: np.ndarray, batch, seed: int, stream: str, first: int, g: int,
+                  eps_adv: float) -> list[RolloutGroup]:
+    """G traces under ``params`` for each ``(ctx, reward)`` of ``batch``,
+    scored and given group advantages.
 
-    Member i samples from the substream (``stream``, ``first + i``).
+    Member i of entry j samples from the substream (``stream``,
+    ``first + j * G + i``); all substreams are drawn in lockstep.
     """
-    members = []
-    for i in range(g):
-        trace = policy.sample(params, ctx, derive_rng(seed, stream, first + i))
-        members.append(RolloutMember(trace.choices, trace.logprobs, reward(trace.choices)))
-    for member, adv in zip(members, group_advantages([m.reward.r_total for m in members], eps_adv)):
-        member.advantage = float(adv)
-    return RolloutGroup(ctx, members)
+    k = max(policy.n_draws(ctx) for ctx, _ in batch)
+    uniforms = substream_randoms(seed, stream, first, len(batch) * g, k)
+    groups = []
+    for j, (ctx, reward) in enumerate(batch):
+        trace = policy.sample(params, ctx, uniforms[j * g : (j + 1) * g])
+        rewards = reward(trace.choices)
+        advantages = group_advantages([r.r_total for r in rewards], eps_adv)
+        groups.append(RolloutGroup(ctx, [
+            RolloutMember(choices, logprobs, r, float(adv))
+            for choices, logprobs, r, adv in zip(trace.choices, trace.logprobs, rewards, advantages)
+        ]))
+    return groups
 
 
 def train_grpo(
     policy,
     episodes: list[EpisodeInstance],
-    make_ctx: Callable[[EpisodeInstance], tuple[Any, Callable[[list[int]], RewardBreakdown]]],
+    make_ctx: Callable[[EpisodeInstance], tuple[Any, Callable[[np.ndarray], list[RewardBreakdown]]]],
     cfg: GrpoConfig,
     master_seed: int,
     stream: str,
@@ -293,11 +320,12 @@ def train_grpo(
     """Train ``policy`` with GRPO; returns (final param vector, log rows).
 
     ``make_ctx(episode)`` returns the policy context and the episode's
-    reward, ``reward(choices) -> RewardBreakdown``; it runs once per episode
-    and is cached.  Episodes are drawn by cycling the list in order.  The
-    initial params come from substream (``{stream}_init``, 0) and member i
-    of batch slot s samples from (``{stream}_rollout``, s * G + i), so
-    results do not depend on sampling order.
+    reward, ``reward(choices) -> list[RewardBreakdown]`` for a group's
+    (G, n_decisions) choices; it runs once per episode and is cached.
+    Episodes are drawn by cycling the list in order.  The initial params
+    come from substream (``{stream}_init``, 0) and member i of batch slot s
+    samples from (``{stream}_rollout``, s * G + i), so results do not
+    depend on sampling order.
     """
     cfg.validate()
     if not episodes:
@@ -317,15 +345,13 @@ def train_grpo(
         if it > 0 and it % cfg.ref_refresh_every == 0:
             reference = params.copy()
         old = params.copy()
-        groups = []
+        batch = []
         for j in range(cfg.batch_episodes):
-            slot = it * cfg.batch_episodes + j
-            idx = slot % len(episodes)
+            idx = (it * cfg.batch_episodes + j) % len(episodes)
             if idx not in cache:
                 cache[idx] = make_ctx(episodes[idx])
-            ctx, reward = cache[idx]
-            groups.append(sample_group(policy, old, ctx, reward, master_seed, rollout_stream,
-                                       slot * cfg.g, cfg.g, cfg.eps_adv))
+            batch.append(cache[idx])
+        groups = sample_groups(policy, old, batch, master_seed, rollout_stream, it * n_roll, cfg.g, cfg.eps_adv)
 
         params, adam, objective, max_dev = grpo_update(
             policy, params, adam, groups, reference, cfg, where=f"{stream} iteration {it}"
@@ -352,16 +378,21 @@ def train_grpo(
 
 def stage1_make_ctx(policy, catalog: Catalog, reward: RewardConfig):
     """``make_ctx`` for Stage 1: the verbalizer context, and the oracle
-    reward of the context a trace renders."""
+    reward of the context each trace of a group renders, scored from the
+    episode's match counts (equal to ``stage1_reward`` of the render)."""
 
     def make_ctx(episode: EpisodeInstance):
         ctx = policy.make_ctx(episode.history)
+        matches = EpisodeMatches(episode, catalog)
 
-        def score(choices) -> RewardBreakdown:
-            return stage1_reward(
-                policy.render(ctx, choices), episode, catalog, reward.alpha, reward.weights, reward.shape,
-                reward.kind,
-            )
+        def score(choices) -> list[RewardBreakdown]:
+            masks = policy.render_masks(ctx, choices)
+            scores = count_scores(matches, masks.starts, masks.enriched, masks.prefs, reward.weights)
+            ratios = masks.n_tokens / masks.source_len
+            return [
+                scores_reward(row, episode.target_index, ratio, reward.alpha, reward.shape, reward.kind)
+                for row, ratio in zip(scores.tolist(), ratios.tolist())
+            ]
 
         return ctx, score
 

@@ -9,7 +9,10 @@ at discovery and gives the learned verbalizers something to fix.
 
 Stage-1 reward blends oracle accuracy with a trapezoid length reward over
 the compression ratio; a rank-linear variant replaces accuracy for the
-ranking ablation.
+ranking ablation.  Training scores traces without rendering them:
+``EpisodeMatches`` holds an episode's per-record integer match counts, and
+``count_scores`` sums them under a group's token masks into exactly the
+scores ``oracle_scores`` gives the rendered contexts.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .domain import Catalog, EpisodeInstance, ItemMeta, Token, VerbalizedContext
+import numpy as np
+
+from .domain import GENRES, Catalog, EpisodeInstance, ItemMeta, Token, VerbalizedContext
 
 
 @dataclass
@@ -123,7 +128,11 @@ def oracle_predict(
     context: VerbalizedContext, candidates, catalog: Catalog, weights: OracleWeights
 ) -> int:
     """Index of the best-scoring candidate; ties go to the lowest index."""
-    scores = oracle_scores(context, candidates, catalog, weights)
+    return best_index(oracle_scores(context, candidates, catalog, weights))
+
+
+def best_index(scores) -> int:
+    """Argmax of ``scores``, ties to the lowest index."""
     best = 0
     for i in range(1, len(scores)):
         if scores[i] > scores[best]:
@@ -177,17 +186,19 @@ def stage1_reward(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     scores = oracle_scores(context, episode.candidates, catalog, weights)
+    return scores_reward(scores, episode.target_index, context.compression_ratio, alpha, shape, kind)
+
+
+def scores_reward(scores, target_index: int, ratio: float, alpha: float, shape: LengthShape,
+                  kind: str = "accuracy") -> RewardBreakdown:
+    """The Stage-1 reward of a context with these candidate scores and
+    compression ratio."""
     if kind == "accuracy":
-        best = 0
-        for i in range(1, len(scores)):
-            if scores[i] > scores[best]:
-                best = i
-        r_acc = 1.0 if best == episode.target_index else 0.0
+        r_acc = 1.0 if best_index(scores) == target_index else 0.0
     elif kind == "ranking":
-        r_acc = ranking_reward(scores, episode.target_index)
+        r_acc = ranking_reward(scores, target_index)
     else:
         raise ValueError(f"unknown stage-1 reward kind {kind!r}")
-    ratio = context.compression_ratio
     r_len = length_reward(ratio, shape)
     return RewardBreakdown(
         r_acc=r_acc,
@@ -195,3 +206,55 @@ def stage1_reward(
         r_total=alpha * r_acc + (1.0 - alpha) * r_len,
         compression_ratio=ratio,
     )
+
+
+# ---------------------------------------------------------------------------
+# integer-count scoring of unrendered traces
+
+
+class EpisodeMatches:
+    """Per-record match counts of one episode's history against its candidates.
+
+    Row t of ``title`` / ``genre`` / ``tag`` is what one TITLE token / the
+    GENRE token / the TAG tokens of record t's item add to each candidate's
+    match count; row g of ``pref`` is what one PREF token of genre g adds.
+    """
+
+    __slots__ = ("title", "genre", "tag", "pref")
+
+    def __init__(self, episode: EpisodeInstance, catalog: Catalog):
+        cands = [catalog.meta(c) for c in episode.candidates]
+        records = episode.history.records
+        items = [catalog.meta(r.item_id) for r in records]
+        self.title = np.equal.outer([r.item_id for r in records], [c.item_id for c in cands]).astype(np.int8)
+        cand_genres = np.array([c.genre for c in cands], dtype=str)
+        self.genre = np.equal.outer(np.array([m.genre for m in items], dtype=str), cand_genres).astype(np.int8)
+        self.pref = np.equal.outer(np.array(GENRES, dtype=str), cand_genres).astype(np.int8)
+        # each candidate tag counted among the tags of the record's item
+        vocab: dict[str, int] = {}
+        cand_tags = np.zeros((len(cands), sum(len(c.tags) for c in cands)), dtype=np.int16)
+        for j, c in enumerate(cands):
+            for tag in c.tags:
+                cand_tags[j, vocab.setdefault(tag, len(vocab))] += 1
+        rec_tags = np.zeros((len(items), cand_tags.shape[1]), dtype=np.int16)
+        for i, m in enumerate(items):
+            for tag in m.tags:
+                if tag in vocab:
+                    rec_tags[i, vocab[tag]] += 1
+        self.tag = rec_tags @ cand_tags.T
+
+
+def count_scores(matches: EpisodeMatches, starts, enriched, prefs, weights: OracleWeights) -> np.ndarray:
+    """(G, candidates) oracle scores of G traces given their token masks.
+
+    A segment opened at record t emits two TITLE tokens of its item, an
+    enriched one its GENRE and TAG tokens, and ``prefs`` marks the PREF
+    genres.  The counts are exact integers and combine in the order
+    ``oracle_scores`` uses, so each row equals that function's result on
+    the rendered context.
+    """
+    title = 2 * (starts.astype(np.int64) @ matches.title)
+    genre = enriched.astype(np.int64) @ matches.genre
+    tag = enriched.astype(np.int64) @ matches.tag
+    pref = prefs.astype(np.int64) @ matches.pref
+    return weights.w_title * title + weights.w_genre * genre + weights.w_pref * pref + weights.w_tag * tag

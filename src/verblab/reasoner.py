@@ -19,7 +19,6 @@ from .domain import Catalog, EpisodeInstance, VerbalizedContext
 from .fsutil import atomic_write_text
 from .grpo import GrpoConfig, train_grpo
 from .oracle import RewardBreakdown
-from .rng import Rng
 from .verbalizer import Trace, frozen_verbalize
 
 N_CANDIDATE_FEATURES = 6
@@ -72,25 +71,22 @@ def episode_candidate_features(
     )
 
 
-def reasoner_probs(params: ReasonerParams, features: np.ndarray) -> np.ndarray:
-    """Softmax over candidate scores features @ weights."""
-    z = features @ params.weights
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def stage2_reward(prediction: int, target_index: int) -> float:
     """+1 on the exact target, -1 otherwise."""
     return 1.0 if prediction == target_index else -1.0
 
 
 class ReasonerPolicy:
-    """Same adapter surface as the verbalizer policies; the context is the
-    per-episode candidate feature matrix and a trajectory is one decision."""
+    """Same group adapter surface as the verbalizer policies; the context is
+    the per-episode candidate feature matrix and a trajectory is one
+    decision, so a group's choices are a (G, 1) array."""
 
     kind = "reasoner"
     n_params = N_CANDIDATE_FEATURES
+
+    @staticmethod
+    def n_draws(ctx: np.ndarray) -> int:
+        return 1
 
     @staticmethod
     def _log_softmax(params: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -98,23 +94,22 @@ class ReasonerPolicy:
         z = z - z.max()
         return z - np.log(np.exp(z).sum())
 
-    def sample(self, params: np.ndarray, ctx: np.ndarray, rng: Rng) -> Trace:
+    def sample(self, params: np.ndarray, ctx: np.ndarray, uniforms: np.ndarray) -> Trace:
         logp = self._log_softmax(params, ctx)
-        probs = np.exp(logp)
-        cum = np.cumsum(probs)
+        cum = np.cumsum(np.exp(logp))
         cum /= cum[-1]
-        j = int((rng.random() >= cum).sum())
-        return Trace([j], logp[j : j + 1].copy())
+        choices = (uniforms[:, :1] >= cum).sum(axis=1, keepdims=True)
+        return Trace(choices, logp[choices])
 
     def logprobs(self, params: np.ndarray, ctx: np.ndarray, choices) -> np.ndarray:
-        if len(choices) != 1:
-            raise ValueError(f"reasoner trajectories have exactly one decision, got {len(choices)}")
-        logp = self._log_softmax(params, ctx)
-        return logp[choices[0] : choices[0] + 1].copy()
+        c = np.asarray(choices)
+        if c.ndim != 2 or c.shape[1] != 1:
+            raise ValueError(f"reasoner trajectories have exactly one decision, got shape {c.shape}")
+        return self._log_softmax(params, ctx)[c]
 
     def grad_accum(self, params: np.ndarray, ctx: np.ndarray, choices, coeffs: np.ndarray) -> np.ndarray:
         probs = np.exp(self._log_softmax(params, ctx))
-        return coeffs[0] * (ctx[choices[0]] - probs @ ctx)
+        return coeffs[:, :1] * (ctx[np.asarray(choices)[:, 0]] - probs @ ctx)
 
     def greedy(self, params: np.ndarray, ctx: np.ndarray) -> list[int]:
         return [int(np.argmax(ctx @ params))]
@@ -126,17 +121,20 @@ class ReasonerPolicy:
 
 def stage2_make_ctx(catalog: Catalog, verbalizer_kind: str, verbalizer_params):
     """``make_ctx`` for Stage 2: the candidate features of the frozen
-    verbalizer's context, and the +/-1 hit reward (logged with the
-    context's compression ratio)."""
+    verbalizer's context, and the +/-1 hit reward of each member of a group
+    (logged with the context's compression ratio)."""
 
     def make_ctx(episode: EpisodeInstance):
         context = frozen_verbalize(verbalizer_kind, verbalizer_params, episode.history, catalog)
         feats = episode_candidate_features(context, episode, catalog)
         ratio = context.compression_ratio
 
-        def score(choices) -> RewardBreakdown:
-            r = stage2_reward(choices[0], episode.target_index)
-            return RewardBreakdown(r_acc=(r + 1.0) / 2.0, r_len=0.0, r_total=r, compression_ratio=ratio)
+        def score(choices) -> list[RewardBreakdown]:
+            out = []
+            for choice in choices[:, 0].tolist():
+                r = stage2_reward(choice, episode.target_index)
+                out.append(RewardBreakdown(r_acc=(r + 1.0) / 2.0, r_len=0.0, r_total=r, compression_ratio=ratio))
+            return out
 
         return feats, score
 

@@ -5,11 +5,15 @@ xoshiro256** generator seeded via splitmix64 (Blackman & Vigna's recommended
 seeding).  Substreams are derived from a single master seed and a
 ``(purpose, index)`` pair, so independent pieces of work (episodes, rollouts)
 can be generated in any order and still produce byte-identical results.
+``substream_randoms`` runs many substreams at once, in lockstep over numpy
+arrays, and yields exactly the uniforms each one's ``Rng.randoms`` would.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -195,3 +199,54 @@ class Rng:
 def derive_rng(master_seed: int, purpose: str, index: int = 0) -> Rng:
     """A fresh generator for the substream named by ``(purpose, index)``."""
     return Rng(substream_seed(master_seed, purpose, index))
+
+
+def _splitmix64_mix_array(z: np.ndarray) -> np.ndarray:
+    """``_splitmix64_mix`` on a uint64 array (products wrap modulo 2**64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _rotl_array(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+
+
+def lockstep_randoms(state: np.ndarray, k: int) -> np.ndarray:
+    """(N, k) uniforms from N xoshiro256** generators advanced together.
+
+    ``state`` is (4, N) uint64: column i holds the four splitmix64 words
+    ``Rng.__init__`` seeds generator i with, and an all-zero column gets
+    the same guard.  Row i of the result is that generator's ``randoms(k)``.
+    """
+    state = np.array(state, dtype=np.uint64)
+    state[0, ~state.any(axis=0)] = 1
+    s0, s1, s2, s3 = state
+    out = np.empty((k, state.shape[1]))
+    for j in range(k):
+        result = _rotl_array(s1 * np.uint64(5), 7) * np.uint64(9)
+        t = s1 << np.uint64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3[:] = _rotl_array(s3, 45)
+        out[j] = (result >> np.uint64(11)) * (1.0 / (1 << 53))
+    return out.T
+
+
+def substream_randoms(master_seed: int, purpose: str, first: int, n: int, k: int) -> np.ndarray:
+    """(n, k) uniforms; row i equals ``derive_rng(master_seed, purpose, first + i).randoms(k)``.
+
+    Each row is its own substream, so drawing more columns than a caller
+    uses changes nothing in the columns it does use.
+    """
+    base = (master_seed & MASK64) ^ _fnv1a64(purpose.encode("utf-8"))
+    steps = np.arange(first + 1, first + n + 1, dtype=np.uint64) * np.uint64(_SM_GAMMA)
+    z = _splitmix64_mix_array(steps + np.uint64(base))  # the substream seeds
+    state = np.empty((4, n), dtype=np.uint64)
+    for w in range(4):  # splitmix64_stream(seed, 4), per column
+        z = z + np.uint64(_SM_GAMMA)
+        state[w] = _splitmix64_mix_array(z)
+    return lockstep_randoms(state, k)

@@ -13,14 +13,18 @@ Four ways to turn a history into a token context:
   heads that may append one preference token per genre.
 
 Policies are linear in a 10-dim per-record feature vector; their log-probs
-and gradients are exact, which the training kernels rely on.  The latent
-noise flag is generator bookkeeping and is never visible to features.
+and gradients are exact, which the training kernels rely on.  The policy
+adapters sample, score and differentiate a whole rollout group at once, and
+``render_masks`` says what a trace's render contains without building its
+tokens, which is how training scores it.  The latent noise flag is
+generator bookkeeping and is never visible to features.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,7 +39,6 @@ from .domain import (
     dur_bucket,
 )
 from .fsutil import atomic_write_text
-from .rng import Rng
 
 N_FEATURES = 10
 TOKENS_PER_TEMPLATE_RECORD = 8
@@ -74,16 +77,37 @@ class HeuristicRules:
 
 @dataclass
 class Trace:
-    """Sampled decisions plus their log-probabilities under the sampler."""
+    """A group of sampled traces: one row of decisions per member, plus
+    their log-probabilities under the sampler."""
 
-    choices: list[int]
-    logprobs: np.ndarray  # one per decision, each <= 0
+    choices: np.ndarray  # (G, n_decisions) int64
+    logprobs: np.ndarray  # (G, n_decisions), each <= 0
+
+
+@dataclass
+class TokenMasks:
+    """What G rendered traces contain, without building their tokens.
+
+    ``starts`` marks the records that open a rendered segment (two TITLE
+    tokens and an ENG), ``enriched`` those whose segment also carries the
+    item's GENRE and TAG tokens, ``prefs`` the genres with a PREF token;
+    ``n_tokens`` is each trace's rendered length.
+    """
+
+    starts: np.ndarray  # (G, n_records) bool
+    enriched: np.ndarray  # (G, n_records) bool
+    prefs: np.ndarray  # (G, n_genres) bool
+    n_tokens: np.ndarray  # (G,) int
+    source_len: int  # template length of the history
 
 
 @dataclass
 class ActionPolicyParams:
     keep_weights: np.ndarray  # (N_FEATURES,)
     enrich_weights: np.ndarray  # (N_FEATURES,)
+
+    # (name, shape) of each array, in file order
+    ARRAYS: ClassVar = (("keep_weights", (N_FEATURES,)), ("enrich_weights", (N_FEATURES,)))
 
     @staticmethod
     def zeros() -> "ActionPolicyParams":
@@ -101,6 +125,11 @@ class ActionPolicyParams:
 class RewritePolicyParams:
     segment_weights: np.ndarray  # (N_SEGMENT_CHOICES, N_FEATURES)
     pref_weights: np.ndarray  # (N_PREF_FEATURES,)
+
+    ARRAYS: ClassVar = (
+        ("segment_weights", (N_SEGMENT_CHOICES, N_FEATURES)),
+        ("pref_weights", (N_PREF_FEATURES,)),
+    )
 
     @staticmethod
     def zeros() -> "RewritePolicyParams":
@@ -251,10 +280,15 @@ def heuristic_verbalize(
 
 
 class ActionPolicy:
-    """Adapter with the uniform sample/logprobs/grad/greedy/render surface."""
+    """Adapter with the uniform sample/logprobs/grad/greedy/render surface.
+
+    ``sample``, ``logprobs``, ``grad_accum`` and ``render_masks`` work on a
+    group: one row per member, all over the same context.
+    """
 
     kind = "action"
     n_params = 2 * N_FEATURES
+    params_type = ActionPolicyParams
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
@@ -263,38 +297,46 @@ class ActionPolicy:
         return make_verb_ctx(history, self.catalog)
 
     @staticmethod
+    def n_draws(ctx: _VerbCtx) -> int:
+        """Uniforms one trace consumes."""
+        return 2 * len(ctx.feats)
+
+    @staticmethod
     def _heads(params: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return feats @ params[:N_FEATURES], feats @ params[N_FEATURES:]
 
-    def sample(self, params: np.ndarray, ctx: _VerbCtx, rng: Rng) -> Trace:
+    def sample(self, params: np.ndarray, ctx: _VerbCtx, uniforms: np.ndarray) -> Trace:
+        """One trace per row of ``uniforms`` (G, >= n_draws), read in the
+        order k_0, m_0, k_1, m_1, ..."""
         z_keep, z_enrich = self._heads(params, ctx.feats)
         n = len(z_keep)
-        us = np.array(rng.randoms(2 * n))  # draw order: k_0, m_0, k_1, m_1, ...
-        k = (us[0::2] < _sigmoid(z_keep)).astype(np.int64)
-        m = (us[1::2] < _sigmoid(z_enrich)).astype(np.int64)
-        choices = np.empty(2 * n, dtype=np.int64)
-        choices[0::2] = k
-        choices[1::2] = m
-        return Trace(choices.tolist(), self.logprobs(params, ctx, choices.tolist()))
+        choices = np.empty((len(uniforms), 2 * n), dtype=np.int64)
+        choices[:, 0::2] = uniforms[:, 0 : 2 * n : 2] < _sigmoid(z_keep)
+        choices[:, 1::2] = uniforms[:, 1 : 2 * n : 2] < _sigmoid(z_enrich)
+        return Trace(choices, self._logprobs(z_keep, z_enrich, choices))
 
-    def logprobs(self, params: np.ndarray, ctx: _VerbCtx, choices) -> np.ndarray:
-        n = len(ctx.history.records)
-        if len(choices) != 2 * n:
-            raise ValueError(f"action trace must have 2 decisions per record ({2 * n}), got {len(choices)}")
-        z_keep, z_enrich = self._heads(params, ctx.feats)
-        c = np.asarray(choices)
-        out = np.empty(len(c))
-        out[0::2] = _bernoulli_logprobs(z_keep, c[0::2])
-        out[1::2] = _bernoulli_logprobs(z_enrich, c[1::2])
+    @staticmethod
+    def _logprobs(z_keep: np.ndarray, z_enrich: np.ndarray, choices: np.ndarray) -> np.ndarray:
+        out = np.empty(choices.shape)
+        out[:, 0::2] = _bernoulli_logprobs(z_keep, choices[:, 0::2])
+        out[:, 1::2] = _bernoulli_logprobs(z_enrich, choices[:, 1::2])
         return out
 
+    def logprobs(self, params: np.ndarray, ctx: _VerbCtx, choices) -> np.ndarray:
+        """(G, 2n) log-probs of the (G, 2n) traces ``choices``."""
+        n = len(ctx.history.records)
+        c = np.asarray(choices)
+        if c.ndim != 2 or c.shape[1] != 2 * n:
+            raise ValueError(f"action traces must have 2 decisions per record ({2 * n}), got shape {c.shape}")
+        return self._logprobs(*self._heads(params, ctx.feats), c)
+
     def grad_accum(self, params: np.ndarray, ctx: _VerbCtx, choices, coeffs: np.ndarray) -> np.ndarray:
-        """sum_t coeffs[t] * d(log p of decision t)/d(params)."""
+        """(G, n_params): row i is sum_t coeffs[i, t] * d(log p of decision t of trace i)/d(params)."""
         z_keep, z_enrich = self._heads(params, ctx.feats)
         c = np.asarray(choices, dtype=np.float64)
-        gk = ((c[0::2] - _sigmoid(z_keep)) * coeffs[0::2]) @ ctx.feats
-        gm = ((c[1::2] - _sigmoid(z_enrich)) * coeffs[1::2]) @ ctx.feats
-        return np.concatenate([gk, gm])
+        gk = (((c[:, 0::2] - _sigmoid(z_keep)) * coeffs[:, 0::2])[:, None, :] @ ctx.feats)[:, 0]
+        gm = (((c[:, 1::2] - _sigmoid(z_enrich)) * coeffs[:, 1::2])[:, None, :] @ ctx.feats)[:, 0]
+        return np.concatenate([gk, gm], axis=1)
 
     def greedy(self, params: np.ndarray, ctx: _VerbCtx) -> list[int]:
         z_keep, z_enrich = self._heads(params, ctx.feats)
@@ -306,6 +348,15 @@ class ActionPolicy:
 
     def render(self, ctx: _VerbCtx, choices) -> VerbalizedContext:
         return render_actions(ctx.history, choices, self.catalog)
+
+    @staticmethod
+    def render_masks(ctx: _VerbCtx, choices: np.ndarray) -> TokenMasks:
+        """What ``render`` would emit for each row of ``choices``."""
+        starts = choices[:, 0::2] != 0
+        enriched = starts & (choices[:, 1::2] != 0)
+        n_tokens = 3 * starts.sum(axis=1) + 4 * enriched.sum(axis=1)
+        prefs = np.zeros((len(choices), len(GENRES)), dtype=bool)
+        return TokenMasks(starts, enriched, prefs, n_tokens, TOKENS_PER_TEMPLATE_RECORD * len(ctx.feats))
 
     @staticmethod
     def params_from_vector(vec: np.ndarray) -> ActionPolicyParams:
@@ -334,26 +385,30 @@ def render_actions(history: UserHistory, choices, catalog: Catalog) -> Verbalize
 # rewrite policy (masked 4-way segment choice + per-genre preference heads)
 
 
-def pref_feature_matrix(ctx: _VerbCtx, seg_choices) -> np.ndarray:
-    """(8, 3) features for the preference heads, conditioned on the segment
-    choices: [bias, fraction of kept signal-eligible records in this genre,
-    is this the top genre by that count]."""
-    kept = np.asarray(seg_choices) != DROP
-    counted = kept & ctx.sig_mask
-    counts = np.zeros(len(GENRES))
-    if counted.any():
-        np.add.at(counts, ctx.genre_idx[counted], 1.0)
-    total = counts.sum()
-    phi = np.ones((len(GENRES), N_PREF_FEATURES))
-    phi[:, 1] = counts / total if total > 0 else 0.0
-    top = counts.max()
-    phi[:, 2] = ((counts == top) & (counts > 0)).astype(np.float64)
+def pref_feature_matrix(ctx: _VerbCtx, seg_choices: np.ndarray) -> np.ndarray:
+    """(G, 8, 3) features for the preference heads of G traces, conditioned
+    on their (G, n) segment choices: [bias, fraction of kept
+    signal-eligible records in this genre, is this the top genre by that
+    count]."""
+    n_genres = len(GENRES)
+    g = len(seg_choices)
+    counted = (seg_choices != DROP) & ctx.sig_mask
+    slots = (np.arange(g)[:, None] * n_genres + ctx.genre_idx)[counted]
+    counts = np.bincount(slots, minlength=g * n_genres).reshape(g, n_genres).astype(np.float64)
+    total = counts.sum(axis=1, keepdims=True)
+    phi = np.ones((g, n_genres, N_PREF_FEATURES))
+    phi[:, :, 1] = counts / np.where(total > 0, total, 1.0)  # an empty row stays 0
+    top = counts.max(axis=1, keepdims=True)
+    phi[:, :, 2] = (counts == top) & (counts > 0)
     return phi
 
 
 class RewritePolicy:
+    """The rewrite adapter; the same group surface as ``ActionPolicy``."""
+
     kind = "rewrite"
     n_params = N_SEGMENT_CHOICES * N_FEATURES + N_PREF_FEATURES
+    params_type = RewritePolicyParams
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
@@ -362,63 +417,95 @@ class RewritePolicy:
         return make_verb_ctx(history, self.catalog)
 
     @staticmethod
+    def n_draws(ctx: _VerbCtx) -> int:
+        return len(ctx.feats) + len(GENRES)
+
+    @staticmethod
     def _split(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n_seg = N_SEGMENT_CHOICES * N_FEATURES
         return params[:n_seg].reshape(N_SEGMENT_CHOICES, N_FEATURES), params[n_seg:]
 
-    def sample(self, params: np.ndarray, ctx: _VerbCtx, rng: Rng) -> Trace:
+    @staticmethod
+    def _row_logprobs(w_seg: np.ndarray, ctx: _VerbCtx) -> np.ndarray:
+        return _masked_row_logprobs(ctx.feats @ w_seg.T, ctx.merge_ok)
+
+    def sample(self, params: np.ndarray, ctx: _VerbCtx, uniforms: np.ndarray) -> Trace:
+        """One trace per row of ``uniforms`` (G, >= n_draws): n segment
+        draws, then one per genre."""
         w_seg, w_pref = self._split(params)
-        row_logp = _masked_row_logprobs(ctx.feats @ w_seg.T, ctx.merge_ok)
-        probs = np.exp(row_logp)
-        n = len(probs)
-        cum = np.cumsum(probs, axis=1)
+        row_logp = self._row_logprobs(w_seg, ctx)
+        cum = np.cumsum(np.exp(row_logp), axis=1)
         cum /= cum[:, -1:]
-        us = np.array(rng.randoms(n))
-        seg = (us[:, None] >= cum).sum(axis=1)
-        phi = pref_feature_matrix(ctx, seg)
-        p_pref = _sigmoid(phi @ w_pref)
-        prefs = (np.array(rng.randoms(len(GENRES))) < p_pref).astype(np.int64)
-        choices = seg.tolist() + prefs.tolist()
-        return Trace(choices, self.logprobs(params, ctx, choices))
+        n = len(row_logp)
+        seg = (uniforms[:, :n, None] >= cum).sum(axis=2)
+        z_pref = pref_feature_matrix(ctx, seg) @ w_pref
+        prefs = (uniforms[:, n : n + len(GENRES)] < _sigmoid(z_pref)).astype(np.int64)
+        logprobs = np.concatenate([row_logp[np.arange(n), seg], _bernoulli_logprobs(z_pref, prefs)], axis=1)
+        return Trace(np.concatenate([seg, prefs], axis=1), logprobs)
+
+    def _check(self, ctx: _VerbCtx, choices) -> np.ndarray:
+        n = len(ctx.history.records)
+        c = np.asarray(choices)
+        if c.ndim != 2 or c.shape[1] != n + len(GENRES):
+            raise ValueError(f"rewrite traces must have {n + len(GENRES)} decisions, got shape {c.shape}")
+        bad = (c[:, :n] == MERGE_PREV) & ~ctx.merge_ok
+        if bad.any():
+            member, position = np.argwhere(bad)[0]
+            raise ValueError(f"MERGE_PREV at position {position} of trace {member} is masked (previous item differs)")
+        return c
 
     def logprobs(self, params: np.ndarray, ctx: _VerbCtx, choices) -> np.ndarray:
-        n = len(ctx.history.records)
-        if len(choices) != n + len(GENRES):
-            raise ValueError(f"rewrite trace must have {n + len(GENRES)} decisions, got {len(choices)}")
+        """(G, n + 8) log-probs of the (G, n + 8) traces ``choices``."""
+        c = self._check(ctx, choices)
+        n = len(ctx.feats)
         w_seg, w_pref = self._split(params)
-        seg = np.asarray(choices[:n])
-        if np.any((seg == MERGE_PREV) & ~ctx.merge_ok):
-            bad = int(np.argmax((seg == MERGE_PREV) & ~ctx.merge_ok))
-            raise ValueError(f"MERGE_PREV at position {bad} is masked (previous item differs)")
-        row_logp = _masked_row_logprobs(ctx.feats @ w_seg.T, ctx.merge_ok)
-        phi = pref_feature_matrix(ctx, seg)
-        pref_lp = _bernoulli_logprobs(phi @ w_pref, np.asarray(choices[n:]))
-        return np.concatenate([row_logp[np.arange(n), seg], pref_lp])
+        row_logp = self._row_logprobs(w_seg, ctx)
+        seg = c[:, :n]
+        pref_lp = _bernoulli_logprobs(pref_feature_matrix(ctx, seg) @ w_pref, c[:, n:])
+        return np.concatenate([row_logp[np.arange(n), seg], pref_lp], axis=1)
 
     def grad_accum(self, params: np.ndarray, ctx: _VerbCtx, choices, coeffs: np.ndarray) -> np.ndarray:
-        n = len(ctx.history.records)
+        """(G, n_params): row i is sum_t coeffs[i, t] * d(log p of decision t of trace i)/d(params)."""
+        c = np.asarray(choices)
+        n = len(ctx.feats)
         w_seg, w_pref = self._split(params)
-        seg = np.asarray(choices[:n])
-        row_logp = _masked_row_logprobs(ctx.feats @ w_seg.T, ctx.merge_ok)
-        probs = np.exp(row_logp)  # masked entries are exactly 0
-        y = -probs
-        y[np.arange(n), seg] += 1.0
-        d_seg = (y * coeffs[:n, None]).T @ ctx.feats
+        probs = np.exp(self._row_logprobs(w_seg, ctx))  # masked entries are exactly 0
+        seg = c[:, :n]
+        y = np.repeat(-probs[None], len(c), axis=0)
+        y[np.arange(len(c))[:, None], np.arange(n), seg] += 1.0
+        d_seg = (y * coeffs[:, :n, None]).transpose(0, 2, 1) @ ctx.feats
         phi = pref_feature_matrix(ctx, seg)
-        b = np.asarray(choices[n:], dtype=np.float64)
-        d_pref = ((b - _sigmoid(phi @ w_pref)) * coeffs[n:]) @ phi
-        return np.concatenate([d_seg.ravel(), d_pref])
+        b = c[:, n:].astype(np.float64)
+        d_pref = ((b - _sigmoid(phi @ w_pref)) * coeffs[:, n:])[:, None, :] @ phi
+        return np.concatenate([d_seg.reshape(len(c), -1), d_pref[:, 0]], axis=1)
 
     def greedy(self, params: np.ndarray, ctx: _VerbCtx) -> list[int]:
         w_seg, w_pref = self._split(params)
-        row_logp = _masked_row_logprobs(ctx.feats @ w_seg.T, ctx.merge_ok)
-        seg = np.argmax(row_logp, axis=1)
-        phi = pref_feature_matrix(ctx, seg)
-        prefs = (phi @ w_pref > 0).astype(np.int64)
+        seg = np.argmax(self._row_logprobs(w_seg, ctx), axis=1)
+        prefs = (pref_feature_matrix(ctx, seg[None])[0] @ w_pref > 0).astype(np.int64)
         return seg.tolist() + prefs.tolist()
 
     def render(self, ctx: _VerbCtx, choices) -> VerbalizedContext:
         return render_rewrite(ctx.history, choices, self.catalog)
+
+    @staticmethod
+    def render_masks(ctx: _VerbCtx, choices: np.ndarray) -> TokenMasks:
+        """What ``render`` would emit for each row of ``choices``: a segment
+        opens at KEEP, KEEP_ENRICH, or a MERGE_PREV after a DROP; it gains a
+        COUNT token when the next record merges into it."""
+        n = len(ctx.feats)
+        seg = choices[:, :n]
+        after_drop = np.ones(seg.shape, dtype=bool)
+        after_drop[:, 1:] = seg[:, :-1] == DROP
+        merge = seg == MERGE_PREV
+        enriched = seg == KEEP_ENRICH
+        starts = (seg == KEEP) | enriched | (merge & after_drop)
+        merged_into = np.zeros(seg.shape, dtype=bool)
+        merged_into[:, :-1] = merge[:, 1:]
+        prefs = choices[:, n:] != 0
+        n_tokens = (3 * starts.sum(axis=1) + (starts & merged_into).sum(axis=1) + 4 * enriched.sum(axis=1)
+                    + prefs.sum(axis=1))
+        return TokenMasks(starts, enriched, prefs, n_tokens, TOKENS_PER_TEMPLATE_RECORD * n)
 
     @staticmethod
     def params_from_vector(vec: np.ndarray) -> RewritePolicyParams:
@@ -503,18 +590,9 @@ def frozen_verbalize(kind: str, params, history: UserHistory, catalog: Catalog) 
 
 
 def save_policy_params(path, kind: str, params) -> None:
-    if kind == "action":
-        arrays = {
-            "keep_weights": params.keep_weights.tolist(),
-            "enrich_weights": params.enrich_weights.tolist(),
-        }
-    elif kind == "rewrite":
-        arrays = {
-            "segment_weights": params.segment_weights.tolist(),
-            "pref_weights": params.pref_weights.tolist(),
-        }
-    else:
+    if kind not in POLICIES:
         raise ValueError(f"unknown policy kind {kind!r}")
+    arrays = {name: getattr(params, name).tolist() for name, _ in POLICIES[kind].params_type.ARRAYS}
     payload = {"format_version": PARAMS_FORMAT_VERSION, "kind": kind, "arrays": arrays}
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
@@ -527,23 +605,15 @@ def load_policy_params(path):
     if version != PARAMS_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported params format_version {version!r}")
     kind = payload.get("kind")
-    arrays = payload.get("arrays", {})
-    if kind == "action":
-        params = ActionPolicyParams(
-            np.asarray(arrays["keep_weights"], dtype=np.float64),
-            np.asarray(arrays["enrich_weights"], dtype=np.float64),
-        )
-        if params.keep_weights.shape != (N_FEATURES,) or params.enrich_weights.shape != (N_FEATURES,):
-            raise ValueError(f"{path}: action weight arrays have the wrong shape")
-    elif kind == "rewrite":
-        params = RewritePolicyParams(
-            np.asarray(arrays["segment_weights"], dtype=np.float64),
-            np.asarray(arrays["pref_weights"], dtype=np.float64),
-        )
-        if params.segment_weights.shape != (N_SEGMENT_CHOICES, N_FEATURES) or params.pref_weights.shape != (
-            N_PREF_FEATURES,
-        ):
-            raise ValueError(f"{path}: rewrite weight arrays have the wrong shape")
-    else:
+    if kind not in POLICIES:
         raise ValueError(f"{path}: unknown policy kind {kind!r}")
-    return kind, params
+    params_type = POLICIES[kind].params_type
+    arrays = payload.get("arrays", {})
+    values = {}
+    for name, shape in params_type.ARRAYS:
+        if name not in arrays:
+            raise ValueError(f"{path}: {kind} params have no {name!r} array")
+        values[name] = np.asarray(arrays[name], dtype=np.float64)
+        if values[name].shape != shape:
+            raise ValueError(f"{path}: {kind} array {name!r} has the wrong shape {values[name].shape}, expected {shape}")
+    return kind, params_type(**values)

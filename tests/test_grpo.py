@@ -29,7 +29,7 @@ from verblab.grpo import (
     write_train_log,
 )
 from verblab.oracle import RewardBreakdown, RewardConfig
-from verblab.rng import derive_rng
+from verblab.rng import derive_rng, substream_randoms
 from verblab.verbalizer import ActionPolicy, RewritePolicy
 
 
@@ -133,13 +133,11 @@ def tiny_episode(catalog, t=2):
 
 def build_group(policy, old_vec, episode, g, rewards, seed=0):
     ctx = policy.make_ctx(episode.history)
-    members = []
-    for i in range(g):
-        trace = policy.sample(old_vec, ctx, derive_rng(100 + seed, "grp", i))
-        r = rewards[i]
-        members.append(
-            RolloutMember(trace.choices, trace.logprobs, RewardBreakdown(r, 0.0, r, 0.5))
-        )
+    trace = policy.sample(old_vec, ctx, substream_randoms(100 + seed, "grp", 0, g, policy.n_draws(ctx)))
+    members = [
+        RolloutMember(choices, logprobs, RewardBreakdown(r, 0.0, r, 0.5))
+        for choices, logprobs, r in zip(trace.choices, trace.logprobs, rewards)
+    ]
     for member, adv in zip(members, group_advantages([m.reward.r_total for m in members], 1e-4)):
         member.advantage = float(adv)
     return RolloutGroup(ctx, members)

@@ -24,12 +24,11 @@ from verblab.reasoner import (
     candidate_features,
     episode_candidate_features,
     load_reasoner_params,
-    reasoner_probs,
     save_reasoner_params,
     stage2_reward,
     train_stage2,
 )
-from verblab.rng import derive_rng
+from verblab.rng import derive_rng, substream_randoms
 
 
 def mk_catalog(n=10):
@@ -107,16 +106,23 @@ class TestCandidateFeatures:
         assert feats[3, 3] == pytest.approx(1 / 2)
 
 
+def adapter_probs(params: ReasonerParams, feats: np.ndarray) -> np.ndarray:
+    """Softmax over candidates: the adapter's log-probs of every candidate,
+    scored as one group."""
+    choices = np.arange(len(feats))[:, None]
+    return np.exp(ReasonerPolicy().logprobs(params.weights, feats, choices)[:, 0])
+
+
 class TestReasonerProbs:
     def test_uniform_at_zero_weights(self):
         feats = np.arange(60, dtype=np.float64).reshape(10, 6)
-        probs = reasoner_probs(ReasonerParams.zeros(), feats)
+        probs = adapter_probs(ReasonerParams.zeros(), feats)
         assert np.allclose(probs, 0.1, atol=1e-15)
 
     def test_hand_softmax(self):
         feats = np.zeros((3, 6))
         feats[:, 3] = [1.0, 0.0, 2.0]
-        probs = reasoner_probs(ReasonerParams(np.array([0, 0, 0, 1.0, 0, 0])), feats)
+        probs = adapter_probs(ReasonerParams(np.array([0, 0, 0, 1.0, 0, 0])), feats)
         e = np.exp([1.0, 0.0, 2.0])
         assert np.allclose(probs, e / e.sum(), atol=1e-15)
 
@@ -124,7 +130,7 @@ class TestReasonerProbs:
         rng = derive_rng(3, "probs", 0)
         feats = np.array([[rng.normal() for _ in range(6)] for _ in range(10)])
         w = np.array([rng.normal() for _ in range(6)])
-        probs = reasoner_probs(ReasonerParams(w), feats)
+        probs = adapter_probs(ReasonerParams(w), feats)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs > 0)
 
@@ -133,8 +139,8 @@ class TestReasonerProbs:
         feats = np.array([[rng.normal() for _ in range(6)] for _ in range(10)])
         w = np.array([rng.normal() for _ in range(6)])
         perm = rng.sample(range(10), 10)
-        a = reasoner_probs(ReasonerParams(w), feats)[perm]
-        b = reasoner_probs(ReasonerParams(w), feats[perm])
+        a = adapter_probs(ReasonerParams(w), feats)[perm]
+        b = adapter_probs(ReasonerParams(w), feats[perm])
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -156,37 +162,35 @@ class TestReasonerPolicy:
 
     def test_sample_logprob_matches_recompute(self):
         params = np.array([0.3, -0.2, 0.5, 1.0, -0.4, 0.1])
-        trace = self.policy.sample(params, self.feats, derive_rng(9, "s", 1))
-        assert len(trace.choices) == 1
+        trace = self.policy.sample(params, self.feats, np.array([derive_rng(9, "s", 1).randoms(1)]))
+        assert trace.choices.shape == (1, 1)
         again = self.policy.logprobs(params, self.feats, trace.choices)
         assert np.array_equal(trace.logprobs, again)
 
     def test_sample_frequencies_follow_probs(self):
         params = np.array([0, 0, 0, 2.0, 0, 0])
-        probs = reasoner_probs(ReasonerParams(params), self.feats)
-        counts = np.zeros(10)
+        probs = adapter_probs(ReasonerParams(params), self.feats)
         n = 4000
-        for i in range(n):
-            counts[self.policy.sample(params, self.feats, derive_rng(9, "freq", i)).choices[0]] += 1
+        choices = self.policy.sample(params, self.feats, substream_randoms(9, "freq", 0, n, 1)).choices
+        counts = np.bincount(choices[:, 0], minlength=10)
         assert np.max(np.abs(counts / n - probs)) < 0.03
 
     def test_logprobs_rejects_multi_decision_traces(self):
         with pytest.raises(ValueError, match="exactly one decision"):
-            self.policy.logprobs(np.zeros(6), self.feats, [1, 2])
+            self.policy.logprobs(np.zeros(6), self.feats, [[1, 2]])
 
     def test_gradient_matches_finite_differences(self):
         params = np.array([0.3, -0.2, 0.5, 1.0, -0.4, 0.1])
         for j in (0, 4, 9):
-            grad = self.policy.grad_accum(params, self.feats, [j], np.array([1.0]))
+            grad = self.policy.grad_accum(params, self.feats, [[j]], np.array([[1.0]]))[0]
             err = finite_diff_check(
-                lambda p: float(self.policy.logprobs(p, self.feats, [j])[0]), grad, params
+                lambda p: float(self.policy.logprobs(p, self.feats, [[j]])[0, 0]), grad, params
             )
             assert err < 1e-6
 
     def test_gradient_scales_with_coefficient(self):
         params = np.zeros(6)
-        g1 = self.policy.grad_accum(params, self.feats, [2], np.array([1.0]))
-        g3 = self.policy.grad_accum(params, self.feats, [2], np.array([-3.0]))
+        g1, g3 = self.policy.grad_accum(params, self.feats, [[2], [2]], np.array([[1.0], [-3.0]]))
         assert np.allclose(g3, -3 * g1, atol=1e-14)
 
     def test_greedy_is_score_argmax_first_on_ties(self):

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verblab.rng import MASK64, Rng, derive_rng, splitmix64_stream, substream_seed
+from verblab import rng as rng_module
+from verblab.rng import (
+    MASK64,
+    Rng,
+    derive_rng,
+    lockstep_randoms,
+    splitmix64_stream,
+    substream_randoms,
+    substream_seed,
+)
 
 M64 = (1 << 64) - 1
 
@@ -113,6 +122,50 @@ class TestSubstreams:
     def test_substream_prefixes_are_distinct(self):
         prefixes = {tuple(derive_rng(3, "p", i).randoms(4)) for i in range(100)}
         assert len(prefixes) == 100
+
+
+class TestLockstep:
+    """``substream_randoms`` must yield exactly what ``derive_rng`` would."""
+
+    def test_rows_equal_derive_rng_over_many_indices(self):
+        for master, purpose, first in ((1, "stage1_rewrite_rollout", 0), (MASK64, "check", 37), (5, "é x", 10**9)):
+            k_max = 13
+            u = substream_randoms(master, purpose, first, 1200, k_max)
+            assert u.shape == (1200, k_max)
+            for i in range(1200):
+                k = (i * 7) % (k_max + 1)  # ragged: every prefix length 0..13
+                assert u[i, :k].tolist() == derive_rng(master, purpose, first + i).randoms(k)
+
+    def test_more_columns_leave_earlier_ones_unchanged(self):
+        short = substream_randoms(9, "p", 4, 64, 3)
+        long = substream_randoms(9, "p", 4, 64, 40)
+        assert short.tobytes() == long[:, :3].copy().tobytes()
+
+    def test_row_ranges_are_independent_of_batching(self):
+        whole = substream_randoms(2, "q", 0, 96, 5)
+        parts = np.concatenate([substream_randoms(2, "q", j, 8, 5) for j in range(0, 96, 8)])
+        assert whole.tobytes() == parts.tobytes()
+
+    def test_all_zero_state_gets_the_rng_guard(self, monkeypatch):
+        # no seed produces four zero splitmix words, so force them in both paths
+        monkeypatch.setattr(rng_module, "splitmix64_stream", lambda seed, n: [0] * n)
+        guarded = Rng(123)
+        assert guarded.s == [1, 0, 0, 0]
+        state = np.zeros((4, 2), dtype=np.uint64)
+        state[:, 1] = ref_splitmix64(7, 4)
+        u = lockstep_randoms(state, 20)
+        assert u[0].tolist() == guarded.randoms(20)
+        assert u[1].tolist() == RefRng(ref_splitmix64(7, 4)).randoms(20)
+
+
+class RefRng:
+    """Uniforms from the reference xoshiro, as ``Rng.random`` forms them."""
+
+    def __init__(self, words):
+        self.gen = RefXoshiro(*words)
+
+    def randoms(self, n):
+        return [(self.gen.next() >> 11) * (1.0 / (1 << 53)) for _ in range(n)]
 
 
 class TestIntegerHelpers:

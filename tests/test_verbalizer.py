@@ -52,6 +52,11 @@ def make_catalog(ids):
     return Catalog(items)
 
 
+def draws(policy, ctx, rng):
+    """One member's uniforms from ``rng``, as a group of one."""
+    return np.array([rng.randoms(policy.n_draws(ctx))])
+
+
 def rec(item_id=0, day=100, hour=12, eng="play", dur=30.0, noise=False):
     return InteractionRecord(
         day=day, hour=hour, item_id=item_id, engagement=eng, duration_min=dur, is_noise=noise
@@ -168,34 +173,34 @@ class TestActionPolicy:
         self.ctx = self.policy.make_ctx(self.history)
 
     def test_zero_params_gives_coin_flips(self):
-        trace = self.policy.sample(np.zeros(20), self.ctx, derive_rng(1, "t", 0))
-        assert len(trace.choices) == 6
+        trace = self.policy.sample(np.zeros(20), self.ctx, draws(self.policy, self.ctx, derive_rng(1, "t", 0)))
+        assert trace.choices.shape == (1, 6)
         assert np.allclose(trace.logprobs, math.log(0.5))
 
     def test_sampling_is_deterministic_in_rng(self):
-        a = self.policy.sample(np.zeros(20), self.ctx, derive_rng(1, "t", 5))
-        b = self.policy.sample(np.zeros(20), self.ctx, derive_rng(1, "t", 5))
-        assert a.choices == b.choices
+        a = self.policy.sample(np.zeros(20), self.ctx, draws(self.policy, self.ctx, derive_rng(1, "t", 5)))
+        b = self.policy.sample(np.zeros(20), self.ctx, draws(self.policy, self.ctx, derive_rng(1, "t", 5)))
+        assert np.array_equal(a.choices, b.choices)
         assert np.array_equal(a.logprobs, b.logprobs)
 
     def test_saturated_keep_bias(self):
         params = np.zeros(20)
         params[0] = 20.0  # keep-head bias
-        trace = self.policy.sample(params, self.ctx, derive_rng(1, "t", 1))
-        assert trace.choices[0::2] == [1, 1, 1]
+        trace = self.policy.sample(params, self.ctx, draws(self.policy, self.ctx, derive_rng(1, "t", 1)))
+        assert trace.choices[0, 0::2].tolist() == [1, 1, 1]
         assert self.policy.greedy(params, self.ctx)[0::2] == [1, 1, 1]
 
     def test_logprobs_match_trace(self):
         rng = derive_rng(2, "t", 0)
         params = np.array([derive_rng(3, "p", i).normal() for i in range(20)])
-        trace = self.policy.sample(params, self.ctx, rng)
+        trace = self.policy.sample(params, self.ctx, draws(self.policy, self.ctx, rng))
         again = self.policy.logprobs(params, self.ctx, trace.choices)
         assert np.max(np.abs(again - trace.logprobs)) < 1e-12
 
     def test_logprobs_match_hand_sigmoid(self):
         h = hist(rec(0, dur=5.0, eng="play"))
         params = ActionPolicyParams(np.full(10, 0.25), np.full(10, -0.5))
-        lp = self.policy.logprobs(params.to_vector(), self.policy.make_ctx(h), [1, 0])
+        lp = self.policy.logprobs(params.to_vector(), self.policy.make_ctx(h), [[1, 0]])[0]
         f = history_features(h)[0]
         z_keep = float(f @ params.keep_weights)
         z_enr = float(f @ params.enrich_weights)
@@ -205,13 +210,12 @@ class TestActionPolicy:
     def test_trace_length_enforced(self):
         ctx = self.policy.make_ctx(hist(rec(0)))
         with pytest.raises(ValueError, match="2 decisions per record"):
-            self.policy.logprobs(np.zeros(20), ctx, [1, 0, 1])
+            self.policy.logprobs(np.zeros(20), ctx, [[1, 0, 1]])
 
     def test_path_probabilities_sum_to_one(self):
         params = np.array([derive_rng(4, "p", i).normal() * 0.7 for i in range(20)])
-        total = 0.0
-        for choices in itertools.product([0, 1], repeat=6):
-            total += math.exp(float(np.sum(self.policy.logprobs(params, self.ctx, list(choices)))))
+        paths = list(itertools.product([0, 1], repeat=6))
+        total = float(np.sum(np.exp(self.policy.logprobs(params, self.ctx, paths).sum(axis=1))))
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -252,7 +256,7 @@ class TestRewritePolicy:
 
     def test_zero_params_uniform_over_unmasked(self):
         ctx = self.ctx_for(rec(0), rec(1, day=101))
-        lp = self.policy.logprobs(np.zeros(43), ctx, [DROP, KEEP, 0, 0, 0, 0, 0, 0, 0, 0])
+        lp = self.policy.logprobs(np.zeros(43), ctx, [[DROP, KEEP, 0, 0, 0, 0, 0, 0, 0, 0]])[0]
         assert lp[0] == pytest.approx(math.log(1 / 3), abs=1e-12)
         assert lp[1] == pytest.approx(math.log(1 / 3), abs=1e-12)
         # preference heads are fair coins at zero params
@@ -260,40 +264,40 @@ class TestRewritePolicy:
 
     def test_zero_params_quarter_when_merge_legal(self):
         ctx = self.ctx_for(rec(0), rec(0, day=101))
-        lp = self.policy.logprobs(np.zeros(43), ctx, [KEEP, MERGE_PREV] + [0] * 8)
+        lp = self.policy.logprobs(np.zeros(43), ctx, [[KEEP, MERGE_PREV] + [0] * 8])[0]
         assert lp[0] == pytest.approx(math.log(1 / 3), abs=1e-12)
         assert lp[1] == pytest.approx(math.log(1 / 4), abs=1e-12)
 
     def test_trace_shape_and_determinism(self):
         ctx = self.ctx_for(rec(0), rec(0, day=101), rec(2, day=102))
-        a = self.policy.sample(np.zeros(43), ctx, derive_rng(5, "r", 0))
-        b = self.policy.sample(np.zeros(43), ctx, derive_rng(5, "r", 0))
-        assert len(a.choices) == 3 + 8
-        assert a.choices == b.choices
+        a = self.policy.sample(np.zeros(43), ctx, draws(self.policy, ctx, derive_rng(5, "r", 0)))
+        b = self.policy.sample(np.zeros(43), ctx, draws(self.policy, ctx, derive_rng(5, "r", 0)))
+        assert a.choices.shape == (1, 3 + 8)
+        assert np.array_equal(a.choices, b.choices)
 
     def test_sampled_logprobs_match_recompute(self):
         ctx = self.ctx_for(rec(0), rec(0, day=101), rec(3, day=102))
         params = np.array([derive_rng(6, "p", i).normal() * 0.8 for i in range(43)])
-        trace = self.policy.sample(params, ctx, derive_rng(6, "r", 1))
+        trace = self.policy.sample(params, ctx, draws(self.policy, ctx, derive_rng(6, "r", 1)))
         again = self.policy.logprobs(params, ctx, trace.choices)
         assert np.max(np.abs(again - trace.logprobs)) < 1e-12
 
     def test_masked_merge_rejected(self):
         ctx = self.ctx_for(rec(0), rec(1, day=101))
         with pytest.raises(ValueError, match="MERGE_PREV at position 1"):
-            self.policy.logprobs(np.zeros(43), ctx, [KEEP, MERGE_PREV] + [0] * 8)
+            self.policy.logprobs(np.zeros(43), ctx, [[KEEP, MERGE_PREV] + [0] * 8])
 
     def test_trace_length_enforced(self):
         ctx = self.ctx_for(rec(0))
         with pytest.raises(ValueError, match="must have 9 decisions"):
-            self.policy.logprobs(np.zeros(43), ctx, [KEEP, 0, 0])
+            self.policy.logprobs(np.zeros(43), ctx, [[KEEP, 0, 0]])
 
     def test_hand_softmax_on_two_records(self):
         ctx = self.ctx_for(rec(0, dur=5.0), rec(0, day=101, dur=70.0))
         params = np.array([((i * 37) % 11 - 5) / 7.0 for i in range(43)])
         w_seg = params[:40].reshape(4, 10)
         choices = [KEEP, MERGE_PREV] + [0] * 8
-        lp = self.policy.logprobs(params, ctx, choices)
+        lp = self.policy.logprobs(params, ctx, [choices])[0]
         feats = ctx.feats
         # record 0: merge masked, softmax over first three logits
         z0 = feats[0] @ w_seg.T
@@ -308,12 +312,12 @@ class TestRewritePolicy:
         ctx = self.ctx_for(rec(0), rec(1, day=101))
         off = np.zeros(43)
         off[40] = -20.0  # preference bias
-        trace = self.policy.sample(off, ctx, derive_rng(7, "r", 0))
-        assert trace.choices[2:] == [0] * 8
+        trace = self.policy.sample(off, ctx, draws(self.policy, ctx, derive_rng(7, "r", 0)))
+        assert trace.choices[0, 2:].tolist() == [0] * 8
         on = np.zeros(43)
         on[40] = 20.0
-        trace = self.policy.sample(on, ctx, derive_rng(7, "r", 1))
-        assert trace.choices[2:] == [1] * 8
+        trace = self.policy.sample(on, ctx, draws(self.policy, ctx, derive_rng(7, "r", 1)))
+        assert trace.choices[0, 2:].tolist() == [1] * 8
 
     def test_greedy_at_zero_params_drops_everything(self):
         ctx = self.ctx_for(rec(0), rec(1, day=101))
@@ -323,11 +327,9 @@ class TestRewritePolicy:
         ctx = self.ctx_for(rec(0), rec(0, day=101))
         params = np.array([derive_rng(8, "p", i).normal() * 0.5 for i in range(43)])
         legal = [(DROP, KEEP, KEEP_ENRICH), (DROP, KEEP, KEEP_ENRICH, MERGE_PREV)]
-        total = 0.0
-        for seg in itertools.product(*legal):
-            for prefs in itertools.product([0, 1], repeat=8):
-                lp = self.policy.logprobs(params, ctx, list(seg) + list(prefs))
-                total += math.exp(float(np.sum(lp)))
+        paths = [list(seg) + list(prefs) for seg in itertools.product(*legal)
+                 for prefs in itertools.product([0, 1], repeat=8)]
+        total = float(np.sum(np.exp(self.policy.logprobs(params, ctx, paths).sum(axis=1))))
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -393,9 +395,9 @@ class TestRewriteRender:
             trace = policy.sample(
                 np.array([derive_rng(13, "p", i * 43 + k).normal() for k in range(43)]),
                 ctx,
-                derive_rng(13, "r", i),
+                draws(policy, ctx, derive_rng(13, "r", i)),
             )
-            rendered = policy.render(ctx, trace.choices)
+            rendered = policy.render(ctx, trace.choices[0].tolist())
             assert len(rendered.tokens) <= rendered.source_template_len + 8
 
 
