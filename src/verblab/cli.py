@@ -17,18 +17,22 @@ import sys
 
 from .checks import run_all_checks
 from .config import ALL_VARIANTS, ConfigError, GlobalConfig, default_config, load_config
-from .domain import (
-    CatalogError,
-    DatasetParseError,
-    DatasetValidationError,
-    read_catalog,
-    read_episodes,
+from .domain import CatalogError, DatasetParseError, DatasetValidationError
+from .evaluation import (
+    EvaluationError,
+    ReasonerTrainer,
+    VerbalizerTrainer,
+    artifact_trained_by,
+    emit_report,
+    ensure_dataset,
+    evaluate,
+    load_split,
+    run_ablation,
+    train_artifact,
 )
-from .evaluation import EvaluationError, emit_report, ensure_dataset, evaluate, run_ablation
-from .grpo import TrainingError, train_stage1
-from .reasoner import save_reasoner_params, train_stage2
+from .grpo import TrainingError
 from .synthworld import GenerationError
-from .verbalizer import load_policy_params, save_policy_params
+from .verbalizer import POLICIES, load_policy_params
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -64,7 +68,7 @@ def _build_parser() -> _Parser:
     sub.add_parser("gen-data", help="generate catalog + train/eval episodes, print digests")
 
     p_tv = sub.add_parser("train-verbalizer", help="Stage-1 training against the reward oracle")
-    p_tv.add_argument("--policy", choices=("action", "rewrite"), required=True)
+    p_tv.add_argument("--policy", choices=tuple(POLICIES), required=True)
 
     p_tr = sub.add_parser("train-reasoner", help="Stage-2 training on frozen contexts")
     src = p_tr.add_mutually_exclusive_group(required=True)
@@ -108,22 +112,21 @@ def _cmd_gen_data(cfg: GlobalConfig, args) -> int:
     return 0
 
 
+def _train(cfg: GlobalConfig, seed: int, data, trainer, deps=()) -> list:
+    """Train the ``ARTIFACTS`` entry of ``trainer`` under the output
+    directory and print the files it wrote; returns its log rows."""
+    path, log_path, rows = train_artifact(artifact_trained_by(trainer), cfg, seed, cfg.out_dir, data, deps)
+    print(f"wrote {path}")
+    print(f"wrote {log_path}")
+    return rows
+
+
 def _cmd_train_verbalizer(cfg: GlobalConfig, args) -> int:
     seed = _effective_seed(cfg, args)
-    paths = ensure_dataset(cfg, seed, cfg.out_dir)
-    catalog = read_catalog(paths["catalog.json"])
-    train_eps = read_episodes(paths["train.jsonl"])
-    log_path = os.path.join(cfg.out_dir, f"log_stage1_{args.policy}.csv")
-    params, rows = train_stage1(
-        train_eps, args.policy, catalog, cfg.grpo_stage1, cfg.reward, seed,
-        init_scale=cfg.verbalizer.init_scale, log_path=log_path,
-    )
-    out_path = os.path.join(cfg.out_dir, f"verbalizer_{args.policy}.json")
-    save_policy_params(out_path, args.policy, params)
-    final = rows[-1] if rows else None
-    print(f"wrote {out_path}")
-    print(f"wrote {log_path}")
-    if final:
+    data = load_split(cfg, seed, cfg.out_dir, "train")
+    rows = _train(cfg, seed, data, VerbalizerTrainer(args.policy))
+    if rows:
+        final = rows[-1]
         print(f"final r_acc {final.mean_r_acc:.4f}, r_len {final.mean_r_len:.4f}, "
               f"compression {final.mean_ratio:.4f}")
     return 0
@@ -131,25 +134,14 @@ def _cmd_train_verbalizer(cfg: GlobalConfig, args) -> int:
 
 def _cmd_train_reasoner(cfg: GlobalConfig, args) -> int:
     seed = _effective_seed(cfg, args)
-    paths = ensure_dataset(cfg, seed, cfg.out_dir)
-    catalog = read_catalog(paths["catalog.json"])
-    train_eps = read_episodes(paths["train.jsonl"])
+    data = load_split(cfg, seed, cfg.out_dir, "train")
     if args.raw:
-        vkind, vparams, tag = "template", None, "raw"
+        rows = _train(cfg, seed, data, ReasonerTrainer("template"))
     else:
         if not os.path.exists(args.verbalizer):
             raise ConfigError(f"--verbalizer file {args.verbalizer} does not exist")
-        vkind, vparams = load_policy_params(args.verbalizer)
-        tag = vkind
-    log_path = os.path.join(cfg.out_dir, f"log_stage2_{tag}.csv")
-    params, rows = train_stage2(
-        train_eps, catalog, vkind, vparams, cfg.grpo_stage2, seed,
-        init_scale=cfg.reasoner_init_scale, log_path=log_path,
-    )
-    out_path = os.path.join(cfg.out_dir, f"reasoner_{tag}.json")
-    save_reasoner_params(out_path, params)
-    print(f"wrote {out_path}")
-    print(f"wrote {log_path}")
+        vkind, _ = load_policy_params(args.verbalizer)
+        rows = _train(cfg, seed, data, ReasonerTrainer(vkind), [args.verbalizer])
     if rows:
         print(f"final mean reward {rows[-1].mean_r_acc * 2 - 1:.4f}")
     return 0
@@ -157,16 +149,15 @@ def _cmd_train_reasoner(cfg: GlobalConfig, args) -> int:
 
 def _cmd_eval(cfg: GlobalConfig, args) -> int:
     seed = _effective_seed(cfg, args)
-    paths = ensure_dataset(cfg, seed, cfg.out_dir)
-    catalog = read_catalog(paths["catalog.json"])
-    eval_eps = read_episodes(paths["eval.jsonl"])
+    catalog, eval_eps = load_split(cfg, seed, cfg.out_dir, "eval")
     metrics = evaluate(args.variant, eval_eps, catalog, cfg, seed_dir=cfg.out_dir)
     print(json.dumps(metrics.to_dict(), indent=2))
     return 0
 
 
-def _cmd_ablate(cfg: GlobalConfig, args, force: bool) -> int:
-    rows = run_ablation(cfg, cfg.out_dir, force=force)
+def _cmd_ablate(cfg: GlobalConfig, args) -> int:
+    """``ablate`` reuses the artifacts on disk; ``pipeline`` retrains them all."""
+    rows = run_ablation(cfg, cfg.out_dir, force=args.command == "pipeline")
     written = emit_report(rows, cfg.out_dir)
     for name in sorted(written):
         print(f"wrote {written[name]}")
@@ -184,6 +175,17 @@ def _cmd_check(cfg: GlobalConfig, args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+_COMMANDS = {
+    "gen-data": _cmd_gen_data,
+    "train-verbalizer": _cmd_train_verbalizer,
+    "train-reasoner": _cmd_train_reasoner,
+    "eval": _cmd_eval,
+    "ablate": _cmd_ablate,
+    "pipeline": _cmd_ablate,
+    "check": _cmd_check,
+}
+
+
 def main(argv=None) -> int:
     _configure_logging()
     parser = _build_parser()
@@ -196,20 +198,7 @@ def main(argv=None) -> int:
         print("verblab: error: a command is required", file=sys.stderr)
         return 1
     try:
-        cfg = _load_config(args)
-        if args.command == "gen-data":
-            return _cmd_gen_data(cfg, args)
-        if args.command == "train-verbalizer":
-            return _cmd_train_verbalizer(cfg, args)
-        if args.command == "train-reasoner":
-            return _cmd_train_reasoner(cfg, args)
-        if args.command == "eval":
-            return _cmd_eval(cfg, args)
-        if args.command == "ablate":
-            return _cmd_ablate(cfg, args, force=False)
-        if args.command == "pipeline":
-            return _cmd_ablate(cfg, args, force=True)
-        return _cmd_check(cfg, args)
+        return _COMMANDS[args.command](_load_config(args), args)
     except (ConfigError, DatasetParseError, DatasetValidationError, CatalogError,
             EvaluationError, ValueError) as e:
         print(f"verblab: error: {e}", file=sys.stderr)

@@ -151,7 +151,7 @@ def _under(prefix: str, kinds: dict[str, str]) -> dict[str, tuple[str, str]]:
 
 
 _WORLD_FIELDS = {
-    "n_items": _INT, "n_genres": _INT, "n_tags": _INT,
+    "n_items": _INT,
     "n_train_episodes": _INT, "n_eval_episodes": _INT,
     "t_min": _INT, "t_max": _INT,
     "p_noise": _FLOAT, "p_repeat": _FLOAT, "repeat_cap": _INT,

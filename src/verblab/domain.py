@@ -1,7 +1,7 @@
 """Core value types shared by the generator, the verbalizers and the scorers.
 
-The module owns the closed vocabularies (genres, tags, engagement kinds,
-token kinds), the episode/catalog data types, episode validation, and the
+The module owns the closed vocabularies (genres, tags, engagement kinds),
+the token type, the episode/catalog data types, episode validation, and the
 line-oriented JSON codec used for dataset files.  Values are plain frozen
 dataclasses; validation reports problems as data rather than raising, so a
 decoded-but-broken episode can be inspected.
@@ -30,25 +30,11 @@ ENGAGEMENTS: tuple[str, ...] = ("play", "thumb_up", "add_to_list")
 # Day-of-week labels; an epoch-day divisible by 7 falls on a Monday.
 DOW_LABELS: tuple[str, ...] = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 
-DUR_BUCKETS: tuple[str, ...] = ("short", "med", "long")
-
 YEAR_MIN = 1980
 YEAR_MAX = 2026
 
 N_CANDIDATES = 10
 MAX_HISTORY_LEN = 100
-
-TOKEN_KINDS: tuple[str, ...] = (
-    "DATE", "DOW", "HOUR", "ID", "TITLE", "GENRE", "TAG", "YEAR",
-    "ENG", "DUR", "PREF", "COUNT",
-)
-
-# Expected python payload type per token kind.
-_PAYLOAD_TYPES: dict[str, type] = {
-    "DATE": int, "DOW": str, "HOUR": int, "ID": int, "TITLE": int,
-    "GENRE": str, "TAG": str, "YEAR": int, "ENG": str, "DUR": str,
-    "PREF": str, "COUNT": int,
-}
 
 
 def dur_bucket(duration_min: float) -> str:
@@ -74,22 +60,6 @@ class Token(NamedTuple):
 
     kind: str
     payload: int | str
-
-
-def token_problem(token: Token) -> str | None:
-    """None if the token is well-formed, else a description of the issue."""
-    expected = _PAYLOAD_TYPES.get(token.kind)
-    if expected is None:
-        return f"unknown token kind {token.kind!r}"
-    if not isinstance(token.payload, expected) or isinstance(token.payload, bool):
-        return f"{token.kind} payload must be {expected.__name__}, got {token.payload!r}"
-    if token.kind in ("GENRE", "PREF") and token.payload not in GENRES:
-        return f"{token.kind} payload {token.payload!r} not a known genre"
-    if token.kind == "ENG" and token.payload not in ENGAGEMENTS:
-        return f"ENG payload {token.payload!r} not a known engagement"
-    if token.kind == "DUR" and token.payload not in DUR_BUCKETS:
-        return f"DUR payload {token.payload!r} not a duration bucket"
-    return None
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,13 +28,8 @@ from .reasoner import (
     save_reasoner_params,
     train_stage2,
 )
-from .synthworld import gen_dataset
-from .verbalizer import (
-    frozen_verbalize,
-    heuristic_verbalize,
-    load_policy_params,
-    save_policy_params,
-)
+from .synthworld import DATA_FILES, gen_dataset
+from .verbalizer import frozen_verbalize, load_policy_params, save_policy_params
 
 log = logging.getLogger(__name__)
 
@@ -118,7 +113,7 @@ def evaluate(
     if not episodes:
         raise EvaluationError("no evaluation episodes")
 
-    vparams = None
+    vparams = cfg.verbalizer.heuristic_rules() if spec.verbalizer_kind == "zero_shot" else None
     if spec.verbalizer_file is not None:
         path = _require_file(seed_dir, spec.verbalizer_file, variant)
         kind, vparams = load_policy_params(path)
@@ -130,15 +125,11 @@ def evaluate(
     if spec.reasoner == "trained":
         rparams = load_reasoner_params(_require_file(seed_dir, spec.reasoner_file, variant))
 
-    rules = cfg.verbalizer.heuristic_rules()
     reasoner = ReasonerPolicy()
     hits = disc_hits = n_disc = 0
     ratio_sum = 0.0
     for ep in episodes:
-        if spec.verbalizer_kind == "zero_shot":
-            ctx = heuristic_verbalize(ep.history, catalog, rules)
-        else:
-            ctx = frozen_verbalize(spec.verbalizer_kind, vparams, ep.history, catalog)
+        ctx = frozen_verbalize(spec.verbalizer_kind, vparams, ep.history, catalog)
         if spec.reasoner == "oracle":
             pred = oracle_predict(ctx, ep.candidates, catalog, cfg.oracle)
         else:
@@ -160,9 +151,7 @@ def evaluate(
 
 
 # ---------------------------------------------------------------------------
-# per-seed artifact pipeline
-
-DATA_FILES = ("catalog.json", "train.jsonl", "eval.jsonl")
+# the data step: the only code that reads dataset files
 
 
 def ensure_dataset(cfg: GlobalConfig, seed: int, out_dir: str, force: bool = False) -> dict[str, str]:
@@ -175,34 +164,57 @@ def ensure_dataset(cfg: GlobalConfig, seed: int, out_dir: str, force: bool = Fal
     return paths
 
 
-def _verbalizer(kind: str, reward_kind: str | None = None):
-    """Trainer for a Stage-1 artifact: a ``kind`` policy, optionally under
-    another reward kind than the config's."""
+def load_split(cfg: GlobalConfig, seed: int, out_dir: str, split: str) -> tuple[Catalog, list[EpisodeInstance]]:
+    """Ensure the world of ``seed`` under ``out_dir``, then decode its catalog
+    and the episodes of one split ("train" or "eval")."""
+    catalog_file, train_file, eval_file = DATA_FILES
+    paths = ensure_dataset(cfg, seed, out_dir)
+    episodes_file = {"train": train_file, "eval": eval_file}[split]
+    return read_catalog(paths[catalog_file]), read_episodes(paths[episodes_file])
 
-    def train(cfg: GlobalConfig, seed: int, catalog: Catalog, train_eps, deps, path: str, log_path: str):
-        reward = cfg.reward if reward_kind is None else replace(cfg.reward, kind=reward_kind)
-        params, _ = train_stage1(
-            train_eps, kind, catalog, cfg.grpo_stage1, reward, seed,
+
+# ---------------------------------------------------------------------------
+# per-seed artifact pipeline
+
+
+@dataclass(frozen=True)
+class VerbalizerTrainer:
+    """Trains a Stage-1 artifact: a ``kind`` policy, optionally under another
+    reward kind than the config's."""
+
+    kind: str
+    reward_kind: str | None = None
+
+    def __call__(self, cfg: GlobalConfig, seed: int, catalog: Catalog, train_eps, deps, path: str, log_path: str):
+        reward = cfg.reward if self.reward_kind is None else replace(cfg.reward, kind=self.reward_kind)
+        params, rows = train_stage1(
+            train_eps, self.kind, catalog, cfg.grpo_stage1, reward, seed,
             init_scale=cfg.verbalizer.init_scale, log_path=log_path,
         )
-        save_policy_params(path, kind, params)
+        save_policy_params(path, self.kind, params)
+        return rows
 
-    return train
 
+@dataclass(frozen=True)
+class ReasonerTrainer:
+    """Trains a Stage-2 artifact on the contexts of a frozen ``verbalizer_kind``
+    verbalizer, whose params file is the one dependency (the fixed template
+    renderer has none)."""
 
-def _reasoner(verbalizer_kind: str):
-    """Trainer for a Stage-2 artifact on the contexts of a frozen verbalizer,
-    whose params file is the one dependency (the fixed template renderer has none)."""
+    verbalizer_kind: str
 
-    def train(cfg: GlobalConfig, seed: int, catalog: Catalog, train_eps, deps, path: str, log_path: str):
-        vparams = load_policy_params(deps[0])[1] if deps else None
-        params, _ = train_stage2(
-            train_eps, catalog, verbalizer_kind, vparams, cfg.grpo_stage2, seed,
+    def __call__(self, cfg: GlobalConfig, seed: int, catalog: Catalog, train_eps, deps, path: str, log_path: str):
+        vparams = None
+        if deps:
+            kind, vparams = load_policy_params(deps[0])
+            if kind != self.verbalizer_kind:
+                raise ValueError(f"{deps[0]} holds {kind!r} parameters, not {self.verbalizer_kind!r}")
+        params, rows = train_stage2(
+            train_eps, catalog, self.verbalizer_kind, vparams, cfg.grpo_stage2, seed,
             init_scale=cfg.reasoner_init_scale, log_path=log_path,
         )
         save_reasoner_params(path, params)
-
-    return train
+        return rows
 
 
 @dataclass(frozen=True)
@@ -210,23 +222,44 @@ class ArtifactSpec:
     log_file: str  # training log written beside the artifact
     needs: tuple[str, ...]  # artifacts that must exist first
     # train(cfg, seed, catalog, train_eps, deps, path, log_path) trains and
-    # writes the artifact; deps are the paths of ``needs``, in order
-    train: Callable[..., None]
+    # writes the artifact and returns its log rows; deps are the paths of
+    # ``needs``, in order
+    train: Callable[..., list]
 
 
 # Every trained file under a seed directory, in training order: an
-# artifact's needs come before it.
+# artifact's needs come before it.  No variant reads reasoner_action.json;
+# it is there for ``verblab train-reasoner`` on an action verbalizer.
 ARTIFACTS: dict[str, ArtifactSpec] = {
-    "verbalizer_action.json": ArtifactSpec("log_stage1_action.csv", (), _verbalizer("action")),
-    "verbalizer_rewrite.json": ArtifactSpec("log_stage1_rewrite.csv", (), _verbalizer("rewrite")),
+    "verbalizer_action.json": ArtifactSpec("log_stage1_action.csv", (), VerbalizerTrainer("action")),
+    "verbalizer_rewrite.json": ArtifactSpec("log_stage1_rewrite.csv", (), VerbalizerTrainer("rewrite")),
     "verbalizer_rewrite_ranking.json": ArtifactSpec(
-        "log_stage1_rewrite_ranking.csv", (), _verbalizer("rewrite", reward_kind="ranking")
+        "log_stage1_rewrite_ranking.csv", (), VerbalizerTrainer("rewrite", reward_kind="ranking")
     ),
     "reasoner_rewrite.json": ArtifactSpec(
-        "log_stage2_rewrite.csv", ("verbalizer_rewrite.json",), _reasoner("rewrite")
+        "log_stage2_rewrite.csv", ("verbalizer_rewrite.json",), ReasonerTrainer("rewrite")
     ),
-    "reasoner_raw.json": ArtifactSpec("log_stage2_raw.csv", (), _reasoner("template")),
+    "reasoner_raw.json": ArtifactSpec("log_stage2_raw.csv", (), ReasonerTrainer("template")),
+    "reasoner_action.json": ArtifactSpec(
+        "log_stage2_action.csv", ("verbalizer_action.json",), ReasonerTrainer("action")
+    ),
 }
+
+
+def artifact_trained_by(trainer) -> str:
+    """The name of the ``ARTIFACTS`` entry whose trainer equals ``trainer``."""
+    return next(name for name, spec in ARTIFACTS.items() if spec.train == trainer)
+
+
+def train_artifact(
+    name: str, cfg: GlobalConfig, seed: int, seed_dir: str, data: tuple[Catalog, list], deps
+) -> tuple[str, str, list]:
+    """Train the artifact ``name`` on ``data`` (the catalog and the train
+    split) and write it and its log under ``seed_dir``; ``deps`` are the paths
+    of its needs.  Returns (artifact path, log path, log rows)."""
+    spec = ARTIFACTS[name]
+    path, log_path = os.path.join(seed_dir, name), os.path.join(seed_dir, spec.log_file)
+    return path, log_path, spec.train(cfg, seed, *data, list(deps), path, log_path)
 
 
 def run_seed_pipeline(
@@ -237,7 +270,8 @@ def run_seed_pipeline(
     force: bool = False,
 ) -> dict[str, str]:
     """Generate data and train every artifact the variants need, under
-    ``seed_dir``; existing artifacts are reused unless ``force``.
+    ``seed_dir``; existing artifacts are reused unless ``force``.  The train
+    split is decoded only when an artifact is trained.
 
     The seed overrides the world's master seed, so each seed directory is a
     fully independent world + training run.  Returns {filename: path}.
@@ -247,21 +281,21 @@ def run_seed_pipeline(
     if unknown:
         raise EvaluationError(f"unknown variants {unknown}; known: {list(VARIANT_SPECS)}")
     paths = ensure_dataset(cfg, seed, seed_dir, force=force)
-    catalog = read_catalog(paths["catalog.json"])
-    train_eps = read_episodes(paths["train.jsonl"])
 
     needed = {f for v in variants for f in (VARIANT_SPECS[v].verbalizer_file, VARIANT_SPECS[v].reasoner_file) if f}
     for name, spec in reversed(ARTIFACTS.items()):
         if name in needed:
             needed.update(spec.needs)
+    data = None
     for name, spec in ARTIFACTS.items():
         if name not in needed:
             continue
         path = os.path.join(seed_dir, name)
         if force or not os.path.exists(path):
             log.info("seed %d: training %s", seed, name)
-            deps = [paths[dep] for dep in spec.needs]
-            spec.train(cfg, seed, catalog, train_eps, deps, path, os.path.join(seed_dir, spec.log_file))
+            if data is None:
+                data = load_split(cfg, seed, seed_dir, "train")
+            train_artifact(name, cfg, seed, seed_dir, data, [paths[dep] for dep in spec.needs])
         paths[name] = path
     return paths
 
@@ -303,11 +337,9 @@ def run_ablation(cfg: GlobalConfig, out_dir: str, force: bool = False) -> list[R
     for seed in cfg.ablate.seeds:
         seed_dir = os.path.join(out_dir, f"seed_{seed}")
         run_seed_pipeline(cfg, seed, seed_dir, variants=variants, force=force)
-        catalog = read_catalog(os.path.join(seed_dir, "catalog.json"))
-        eval_eps = read_episodes(os.path.join(seed_dir, "eval.jsonl"))
-        per_seed[seed] = {
-            v: evaluate(v, eval_eps, catalog, cfg, seed_dir) for v in variants
-        }
+        catalog, eval_eps = load_split(cfg, seed, seed_dir, "eval")
+        per_seed[seed] = {v: evaluate(v, eval_eps, catalog, cfg, seed_dir) for v in variants}
+        del catalog, eval_eps  # nothing decoded for this seed stays alive through the next one
         log.info("seed %d: evaluated %d variants", seed, len(variants))
 
     rows: list[ReportRow] = []

@@ -421,4 +421,4 @@ def train_stage1(
         policy, train_episodes, stage1_make_ctx(policy, catalog, reward), cfg, master_seed,
         f"stage1_{policy_kind}", init_scale, log_path,
     )
-    return policy.params_from_vector(params), rows
+    return policy.params_type.from_vector(params), rows

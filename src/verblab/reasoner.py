@@ -10,24 +10,24 @@ training runs the same ``grpo.train_grpo`` loop as Stage 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .domain import Catalog, EpisodeInstance, VerbalizedContext
-from .fsutil import atomic_write_text
 from .grpo import GrpoConfig, train_grpo
 from .oracle import RewardBreakdown
-from .verbalizer import Trace, frozen_verbalize
+from .verbalizer import Trace, frozen_verbalize, load_params, save_params
 
 N_CANDIDATE_FEATURES = 6
-PARAMS_FORMAT_VERSION = 1
 
 
 @dataclass
 class ReasonerParams:
     weights: np.ndarray  # (N_CANDIDATE_FEATURES,)
+
+    ARRAYS: ClassVar = (("weights", (N_CANDIDATE_FEATURES,)),)
 
     @staticmethod
     def zeros() -> "ReasonerParams":
@@ -83,6 +83,7 @@ class ReasonerPolicy:
 
     kind = "reasoner"
     n_params = N_CANDIDATE_FEATURES
+    params_type = ReasonerParams
 
     @staticmethod
     def n_draws(ctx: np.ndarray) -> int:
@@ -113,10 +114,6 @@ class ReasonerPolicy:
 
     def greedy(self, params: np.ndarray, ctx: np.ndarray) -> list[int]:
         return [int(np.argmax(ctx @ params))]
-
-    @staticmethod
-    def params_from_vector(vec: np.ndarray) -> ReasonerParams:
-        return ReasonerParams.from_vector(vec)
 
 
 def stage2_make_ctx(catalog: Catalog, verbalizer_kind: str, verbalizer_params):
@@ -156,34 +153,23 @@ def train_stage2(
     The verbalizer decodes greedily once per episode (contexts are cached);
     only the reasoner's weights move.  Returns (ReasonerParams, log rows).
     """
+    policy = ReasonerPolicy()
     params, rows = train_grpo(
-        ReasonerPolicy(), train_episodes, stage2_make_ctx(catalog, verbalizer_kind, verbalizer_params), cfg,
+        policy, train_episodes, stage2_make_ctx(catalog, verbalizer_kind, verbalizer_params), cfg,
         master_seed, f"stage2_{verbalizer_kind}", init_scale, log_path,
     )
-    return ReasonerParams.from_vector(params), rows
+    return policy.params_type.from_vector(params), rows
 
 
 # ---------------------------------------------------------------------------
-# parameter files
+# parameter files: the verbalizer's format, with the kind fixed to "reasoner"
+
+_REASONER = {ReasonerPolicy.kind: ReasonerPolicy}
 
 
 def save_reasoner_params(path, params: ReasonerParams) -> None:
-    payload = {
-        "format_version": PARAMS_FORMAT_VERSION,
-        "kind": "reasoner",
-        "arrays": {"weights": params.weights.tolist()},
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    save_params(path, _REASONER, ReasonerPolicy.kind, params)
 
 
 def load_reasoner_params(path) -> ReasonerParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != PARAMS_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported params format_version {payload.get('format_version')!r}")
-    if payload.get("kind") != "reasoner":
-        raise ValueError(f"{path}: expected reasoner params, got kind {payload.get('kind')!r}")
-    weights = np.asarray(payload["arrays"]["weights"], dtype=np.float64)
-    if weights.shape != (N_CANDIDATE_FEATURES,):
-        raise ValueError(f"{path}: reasoner weights must have shape ({N_CANDIDATE_FEATURES},)")
-    return ReasonerParams(weights)
+    return load_params(path, _REASONER)[1]

@@ -10,6 +10,7 @@ master seed, so datasets are byte-identical across runs and generation order.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from .domain import (
@@ -35,8 +36,6 @@ class GenerationError(RuntimeError):
 @dataclass
 class WorldConfig:
     n_items: int = 200
-    n_genres: int = 8
-    n_tags: int = 30
     n_train_episodes: int = 2000
     n_eval_episodes: int = 500
     t_min: int = 20
@@ -49,12 +48,8 @@ class WorldConfig:
     master_seed: int = 1
 
     def validate(self) -> None:
-        if self.n_genres != len(GENRES):
-            raise ValueError(f"n_genres must be {len(GENRES)} (the genre vocabulary is fixed)")
-        if self.n_tags != len(TAG_POOL):
-            raise ValueError(f"n_tags must be {len(TAG_POOL)} (the tag pool is fixed)")
-        if self.n_items < self.n_genres:
-            raise ValueError(f"n_items ({self.n_items}) must be >= n_genres ({self.n_genres})")
+        if self.n_items < len(GENRES):
+            raise ValueError(f"n_items ({self.n_items}) must be >= the {len(GENRES)} genres")
         if not 1 <= self.t_min <= self.t_max <= 100:
             raise ValueError(f"need 1 <= t_min <= t_max <= 100, got [{self.t_min}, {self.t_max}]")
         for name in ("p_noise", "p_repeat", "p_rewatch_target"):
@@ -240,24 +235,24 @@ def gen_split(catalog: Catalog, cfg: WorldConfig, purpose: str, count: int, id_o
     ]
 
 
+# The files of one world under its directory: the catalog, then the train
+# and eval splits.
+DATA_FILES = ("catalog.json", "train.jsonl", "eval.jsonl")
+
+
 def gen_dataset(cfg: WorldConfig, out_dir) -> dict[str, str]:
-    """Write catalog.json, train.jsonl and eval.jsonl under ``out_dir``.
+    """Write the ``DATA_FILES`` under ``out_dir``.
 
     Returns {filename: path}.  Train and eval user ids are disjoint.
     """
-    import os
-
     cfg.validate()
     catalog = gen_catalog(cfg, derive_rng(cfg.master_seed, "catalog", 0))
     train = gen_split(catalog, cfg, "train", cfg.n_train_episodes, 0)
     evale = gen_split(catalog, cfg, "eval", cfg.n_eval_episodes, cfg.n_train_episodes)
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "catalog.json": os.path.join(out_dir, "catalog.json"),
-        "train.jsonl": os.path.join(out_dir, "train.jsonl"),
-        "eval.jsonl": os.path.join(out_dir, "eval.jsonl"),
-    }
-    write_catalog(catalog, paths["catalog.json"])
-    write_episodes(train, paths["train.jsonl"])
-    write_episodes(evale, paths["eval.jsonl"])
+    paths = {name: os.path.join(out_dir, name) for name in DATA_FILES}
+    catalog_path, train_path, eval_path = paths.values()
+    write_catalog(catalog, catalog_path)
+    write_episodes(train, train_path)
+    write_episodes(evale, eval_path)
     return paths

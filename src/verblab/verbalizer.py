@@ -358,10 +358,6 @@ class ActionPolicy:
         prefs = np.zeros((len(choices), len(GENRES)), dtype=bool)
         return TokenMasks(starts, enriched, prefs, n_tokens, TOKENS_PER_TEMPLATE_RECORD * len(ctx.feats))
 
-    @staticmethod
-    def params_from_vector(vec: np.ndarray) -> ActionPolicyParams:
-        return ActionPolicyParams.from_vector(vec)
-
 
 def render_actions(history: UserHistory, choices, catalog: Catalog) -> VerbalizedContext:
     """Kept records render [TITLE x2, ENG]; enriched ones add [GENRE, TAG x3]."""
@@ -507,10 +503,6 @@ class RewritePolicy:
                     + prefs.sum(axis=1))
         return TokenMasks(starts, enriched, prefs, n_tokens, TOKENS_PER_TEMPLATE_RECORD * n)
 
-    @staticmethod
-    def params_from_vector(vec: np.ndarray) -> RewritePolicyParams:
-        return RewritePolicyParams.from_vector(vec)
-
 
 def render_rewrite(history: UserHistory, choices, catalog: Catalog) -> VerbalizedContext:
     """Fold segment choices into rendered segments, then preference tokens.
@@ -572,12 +564,13 @@ def frozen_verbalize(kind: str, params, history: UserHistory, catalog: Catalog) 
     """Deterministic context from a frozen verbalizer.
 
     Learned kinds decode greedily (argmax per decision, ties to the lower
-    choice); "template" and "zero_shot" are the fixed renderers.
+    choice); "template" and "zero_shot" are the fixed renderers, and
+    "zero_shot" takes its ``HeuristicRules`` as params (None: the defaults).
     """
     if kind == "template":
         return render_template(history, catalog)
     if kind == "zero_shot":
-        return heuristic_verbalize(history, catalog)
+        return heuristic_verbalize(history, catalog, params)
     if kind not in POLICIES:
         raise ValueError(f"unknown verbalizer kind {kind!r}")
     policy = POLICIES[kind](catalog)
@@ -586,34 +579,57 @@ def frozen_verbalize(kind: str, params, history: UserHistory, catalog: Catalog) 
 
 
 # ---------------------------------------------------------------------------
-# parameter files
+# parameter files: one format for every policy, read through its adapter's
+# ``params_type.ARRAYS``
 
 
-def save_policy_params(path, kind: str, params) -> None:
-    if kind not in POLICIES:
+def save_params(path, policies: dict, kind: str, params) -> None:
+    """Write the params of a ``kind`` policy; ``policies`` maps the kinds the
+    caller accepts to their adapters."""
+    if kind not in policies:
         raise ValueError(f"unknown policy kind {kind!r}")
-    arrays = {name: getattr(params, name).tolist() for name, _ in POLICIES[kind].params_type.ARRAYS}
+    arrays = {name: getattr(params, name).tolist() for name, _ in policies[kind].params_type.ARRAYS}
     payload = {"format_version": PARAMS_FORMAT_VERSION, "kind": kind, "arrays": arrays}
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def load_policy_params(path):
-    """Returns (kind, params dataclass) for a saved verbalizer policy."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+def load_params(path, policies: dict):
+    """(kind, params) of a params file whose kind is one of ``policies``.
+    Any malformed file is a ValueError that names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a JSON params file ({e})") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a params file holds a JSON object, not {type(payload).__name__}")
     version = payload.get("format_version")
     if version != PARAMS_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported params format_version {version!r}")
     kind = payload.get("kind")
-    if kind not in POLICIES:
-        raise ValueError(f"{path}: unknown policy kind {kind!r}")
-    params_type = POLICIES[kind].params_type
-    arrays = payload.get("arrays", {})
+    if not isinstance(kind, str) or kind not in policies:
+        raise ValueError(f"{path}: unknown policy kind {kind!r}; expected one of {list(policies)}")
+    params_type = policies[kind].params_type
+    arrays = payload.get("arrays")
+    if not isinstance(arrays, dict):
+        raise ValueError(f"{path}: {kind} params have no 'arrays' object")
     values = {}
     for name, shape in params_type.ARRAYS:
         if name not in arrays:
             raise ValueError(f"{path}: {kind} params have no {name!r} array")
-        values[name] = np.asarray(arrays[name], dtype=np.float64)
+        try:
+            values[name] = np.asarray(arrays[name], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{path}: {kind} array {name!r} is not an array of numbers") from None
         if values[name].shape != shape:
             raise ValueError(f"{path}: {kind} array {name!r} has the wrong shape {values[name].shape}, expected {shape}")
     return kind, params_type(**values)
+
+
+def save_policy_params(path, kind: str, params) -> None:
+    save_params(path, POLICIES, kind, params)
+
+
+def load_policy_params(path):
+    """Returns (kind, params dataclass) for a saved verbalizer policy."""
+    return load_params(path, POLICIES)

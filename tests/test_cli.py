@@ -194,6 +194,24 @@ class TestTrainAndEval:
         assert code == 0
         assert os.path.exists(os.path.join(out_dir, "reasoner_rewrite.json"))
 
+    def test_train_reasoner_on_action_verbalizer(self, capsys, cfg_file, tmp_path):
+        out_dir = str(tmp_path)
+        run(["--config", cfg_file, "--out", out_dir, "train-verbalizer", "--policy", "action"], capsys)
+        code, out, _ = run(
+            [
+                "--config", cfg_file, "--out", out_dir, "train-reasoner",
+                "--verbalizer", os.path.join(out_dir, "verbalizer_action.json"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            f"wrote {os.path.join(out_dir, 'reasoner_action.json')}",
+            f"wrote {os.path.join(out_dir, 'log_stage2_action.csv')}",
+        ]
+        assert os.path.exists(os.path.join(out_dir, "reasoner_action.json"))
+        assert os.path.exists(os.path.join(out_dir, "log_stage2_action.csv"))
+
     def test_train_reasoner_missing_verbalizer_file(self, capsys, cfg_file, tmp_path):
         code, _, err = run(
             [
@@ -204,6 +222,26 @@ class TestTrainAndEval:
         )
         assert code == 1
         assert "does not exist" in err
+
+
+class TestMalformedParams:
+    def test_reasoner_params_without_weights(self, capsys, cfg_file, tmp_path):
+        path = tmp_path / "reasoner_raw.json"
+        path.write_text(json.dumps({"format_version": 1, "kind": "reasoner", "arrays": {}}))
+        code, _, err = run(
+            ["--config", cfg_file, "--out", str(tmp_path), "eval", "--variant", "raw_trained_reasoner"], capsys
+        )
+        assert code == 1
+        assert "verblab: error:" in err and str(path) in err and "'weights'" in err
+
+    def test_verbalizer_params_file_holding_a_list(self, capsys, cfg_file, tmp_path):
+        path = tmp_path / "listed.json"
+        path.write_text("[1, 2, 3]")
+        code, _, err = run(
+            ["--config", cfg_file, "--out", str(tmp_path), "train-reasoner", "--verbalizer", str(path)], capsys
+        )
+        assert code == 1
+        assert "verblab: error:" in err and str(path) in err
 
 
 class TestAblateAndPipeline:

@@ -96,6 +96,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown top-level keys \\['determinism'\\]"):
             config_from_dict({"determinism": True})
 
+    def test_vocabulary_sizes_are_not_keys(self):
+        # the genre and tag vocabularies are fixed, so their sizes are not settings
+        for key in ("n_genres", "n_tags"):
+            with pytest.raises(ConfigError, match=f"world: unknown keys \\['{key}'\\]"):
+                config_from_dict({"world": {key: 8}})
+
     def test_root_must_be_object(self):
         with pytest.raises(ConfigError, match="config root must be an object"):
             config_from_dict([1, 2])

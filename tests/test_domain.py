@@ -28,7 +28,6 @@ from verblab.domain import (
     encode_catalog,
     encode_episode,
     read_episodes,
-    token_problem,
     validate_catalog_items,
     validate_episode,
     write_episodes,
@@ -75,16 +74,6 @@ class TestVocabularies:
         assert dow_label(7) == "mon"
         # 20250608 is divisible by 7, so it lands on the week's start
         assert dow_label(20250608) == "mon"
-
-    def test_token_problems(self):
-        assert token_problem(Token("TITLE", 5)) is None
-        assert token_problem(Token("GENRE", "scifi")) is None
-        assert token_problem(Token("DUR", "long")) is None
-        assert "unknown token kind" in token_problem(Token("WAT", 1))
-        assert "payload" in token_problem(Token("TITLE", "five"))
-        assert "payload" in token_problem(Token("COUNT", True))  # bool is not an int here
-        assert "genre" in token_problem(Token("PREF", "polka"))
-        assert "engagement" in token_problem(Token("ENG", "watched"))
 
 
 class TestRecords:

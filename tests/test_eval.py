@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from verblab.config import AblateConfig, GlobalConfig
+from verblab.config import ALL_VARIANTS, AblateConfig, GlobalConfig, VerbalizerConfig
 from verblab.domain import (
     GENRES,
     TAG_POOL,
@@ -22,8 +22,11 @@ from verblab.evaluation import (
     VARIANT_SPECS,
     EvaluationError,
     Metrics,
+    ReasonerTrainer,
     ReportRow,
+    VerbalizerTrainer,
     _rel_improvement,
+    artifact_trained_by,
     emit_report,
     evaluate,
     read_report,
@@ -32,7 +35,13 @@ from verblab.evaluation import (
 )
 from verblab.grpo import GrpoConfig
 from verblab.synthworld import WorldConfig
-from verblab.verbalizer import ActionPolicyParams, save_policy_params
+from verblab.verbalizer import (
+    POLICIES,
+    ActionPolicyParams,
+    HeuristicRules,
+    frozen_verbalize,
+    save_policy_params,
+)
 
 
 def small_cfg(variants=("template", "zero_shot"), seeds=(11, 12)):
@@ -86,6 +95,15 @@ class TestVariantTable:
         for spec in VARIANT_SPECS.values():
             assert {spec.verbalizer_file, spec.reasoner_file} - {None} <= set(ARTIFACTS)
         assert len({spec.log_file for spec in ARTIFACTS.values()}) == len(ARTIFACTS)
+        # the CLI's single-artifact commands find their entries by trainer
+        for kind in POLICIES:
+            assert artifact_trained_by(VerbalizerTrainer(kind)) == f"verbalizer_{kind}.json"
+        assert artifact_trained_by(ReasonerTrainer("template")) == "reasoner_raw.json"
+        assert artifact_trained_by(ReasonerTrainer("rewrite")) == "reasoner_rewrite.json"
+        action_reasoner = ARTIFACTS["reasoner_action.json"]
+        assert action_reasoner.needs == ("verbalizer_action.json",)
+        assert action_reasoner.log_file == "log_stage2_action.csv"
+        assert artifact_trained_by(ReasonerTrainer("action")) == "reasoner_action.json"
 
         # which entries the pipeline trains, in order, with trainers that only record the call
         trained = []
@@ -104,6 +122,8 @@ class TestVariantTable:
         # the rewrite-context reasoner drags in its verbalizer
         assert plan(["rewrite_trained_reasoner"]) == ["verbalizer_rewrite.json", "reasoner_rewrite.json"]
         assert plan(["raw_trained_reasoner"]) == ["reasoner_raw.json"]
+        # no variant reads the action-context reasoner, so the pipeline never trains it
+        assert plan(ALL_VARIANTS) == [name for name in ARTIFACTS if name != "reasoner_action.json"]
 
 
 class TestRelImprovement:
@@ -160,6 +180,21 @@ class TestEvaluate:
         m = evaluate("zero_shot", [ep], self.catalog, self.cfg)
         assert 0.0 <= m.mean_compression < 1.0
 
+    def test_zero_shot_uses_the_configured_rules(self, monkeypatch):
+        # every record is a 45-minute play: the default rules keep it, min_duration=50 drops it
+        ep = mk_episode([1, 2, 3, 4], target_index=1, is_discovery=False)
+        assert evaluate("zero_shot", [ep], self.catalog, self.cfg).mean_compression == 7 / 8
+        calls = []
+
+        def spy(kind, params, history, catalog):
+            calls.append((kind, params))
+            return frozen_verbalize(kind, params, history, catalog)
+
+        monkeypatch.setattr(evaluation, "frozen_verbalize", spy)
+        cfg = GlobalConfig(verbalizer=VerbalizerConfig(min_duration=50.0))
+        assert evaluate("zero_shot", [ep], self.catalog, cfg).mean_compression == 0.0
+        assert calls == [("zero_shot", HeuristicRules(min_duration=50.0))]
+
     def test_trained_variant_requires_artifact_directory(self):
         ep = mk_episode([3, 3], 3, False)
         with pytest.raises(EvaluationError, match="no artifact directory"):
@@ -188,6 +223,23 @@ class TestSeedPipeline:
         paths = run_seed_pipeline(cfg, 11, str(tmp_path), variants=("template", "zero_shot"))
         assert sorted(paths) == ["catalog.json", "eval.jsonl", "train.jsonl"]
         assert all(os.path.exists(p) for p in paths.values())
+
+    def test_train_split_is_decoded_only_to_train(self, tmp_path, monkeypatch):
+        decoded = []
+        real = evaluation.read_episodes
+        monkeypatch.setattr(evaluation, "read_episodes", lambda path: decoded.append(path) or real(path))
+        cfg = small_cfg()
+        run_seed_pipeline(cfg, 11, str(tmp_path), variants=("template", "zero_shot"))
+        assert decoded == []
+        # two artifacts trained, one decode
+        run_seed_pipeline(cfg, 11, str(tmp_path), variants=("rewrite_trained_reasoner",))
+        assert decoded == [os.path.join(str(tmp_path), "train.jsonl")]
+
+    def test_reasoner_rejects_a_verbalizer_of_another_kind(self, tmp_path):
+        # a reused verbalizer_rewrite.json that holds action params is named, not trained on
+        save_policy_params(tmp_path / "verbalizer_rewrite.json", "action", ActionPolicyParams.zeros())
+        with pytest.raises(ValueError, match="verbalizer_rewrite.json holds 'action' parameters"):
+            run_seed_pipeline(small_cfg(), 11, str(tmp_path), variants=("rewrite_trained_reasoner",))
 
     def test_trains_reuses_and_retrains_artifacts(self, tmp_path):
         cfg = small_cfg()

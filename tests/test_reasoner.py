@@ -201,7 +201,7 @@ class TestReasonerPolicy:
 
     def test_params_round_trip_through_vector(self):
         vec = np.array([0.3, -0.2, 0.5, 1.0, -0.4, 0.1])
-        params = self.policy.params_from_vector(vec)
+        params = self.policy.params_type.from_vector(vec)
         assert isinstance(params, ReasonerParams)
         assert np.array_equal(params.to_vector(), vec)
         vec[0] = 99.0

@@ -33,8 +33,8 @@ class TestWorldConfig:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"n_genres": 7},
-            {"n_tags": 31},
+            {"p_rewatch_target": 1.5},
+            {"n_eval_episodes": 0},
             {"n_items": 4},
             {"t_min": 0},
             {"t_min": 30, "t_max": 20},

@@ -1,10 +1,13 @@
 """Renderers and the two learnable verbalizer policies."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verblab.domain import (
     GENRES,
@@ -16,6 +19,7 @@ from verblab.domain import (
     Token,
     UserHistory,
 )
+from verblab.reasoner import ReasonerParams, load_reasoner_params
 from verblab.rng import derive_rng
 from verblab.verbalizer import (
     DROP,
@@ -428,7 +432,45 @@ class TestFrozenVerbalize:
             frozen_verbalize("llm", None, self.history, self.catalog)
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _floats_of_shape(shape):
+    inner = st.lists(st.floats(), min_size=shape[-1], max_size=shape[-1])
+    return inner if len(shape) == 1 else st.lists(inner, min_size=shape[0], max_size=shape[0])
+
+
+# Any JSON, or the payload of a valid params file with any part swapped for
+# junk, so that some payloads pass every check and load.
+_PARAMS_PAYLOADS = _JSON | st.sampled_from(
+    [("action", ActionPolicyParams), ("rewrite", RewritePolicyParams), ("reasoner", ReasonerParams)]
+).flatmap(lambda kind_type: st.fixed_dictionaries({
+    "format_version": st.just(1) | _JSON,
+    "kind": st.just(kind_type[0]) | _JSON,
+    "arrays": _JSON | st.fixed_dictionaries(
+        {name: _floats_of_shape(shape) | _JSON for name, shape in kind_type[1].ARRAYS}
+    ),
+}))
+
+
 class TestParamsIO:
+    @given(payload=_PARAMS_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_payload_gives_params_or_a_named_error(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_params.json"
+        path.write_text(json.dumps(payload))
+        for load in (lambda p: load_policy_params(p)[1], load_reasoner_params):
+            try:
+                params = load(path)
+            except ValueError as e:
+                assert str(path) in str(e)
+            else:
+                assert all(getattr(params, name).shape == shape for name, shape in type(params).ARRAYS)
+
     def test_action_round_trip(self, tmp_path):
         params = ActionPolicyParams(np.arange(10.0), -np.arange(10.0))
         path = tmp_path / "a.json"
