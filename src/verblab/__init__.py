@@ -7,7 +7,7 @@ a small softmax reasoner trains on the frozen contexts in Stage 2.  The
 ``verblab`` CLI wires data generation, training, evaluation and reporting.
 """
 
-from .config import ALL_VARIANTS, ConfigError, GlobalConfig, default_config, load_config
+from .config import ALL_VARIANTS, VARIANTS, ConfigError, GlobalConfig, VariantSpec, default_config, load_config
 from .domain import (
     Catalog,
     CatalogError,
@@ -24,7 +24,7 @@ from .domain import (
     write_catalog,
     write_episodes,
 )
-from .evaluation import Metrics, VariantSpec, emit_report, evaluate, run_ablation, run_seed_pipeline
+from .evaluation import Metrics, emit_report, evaluate, run_ablation, run_seed_pipeline
 from .grpo import (
     AdamState,
     GrpoConfig,

@@ -17,15 +17,31 @@ from .oracle import OracleWeights, RewardConfig
 from .synthworld import WorldConfig
 from .verbalizer import HeuristicRules
 
-ALL_VARIANTS = (
-    "template",
-    "zero_shot",
-    "action",
-    "rewrite",
-    "rewrite_trained_reasoner",
-    "raw_trained_reasoner",
-    "rewrite_ranking_reward",
-)
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """One cell of the ablation matrix: the verbalizer that writes the
+    context and the scorer that picks the candidate.  The files are trained
+    artifacts under the seed directory (``evaluation.ARTIFACTS`` entries)."""
+
+    verbalizer_kind: str  # template | zero_shot | action | rewrite
+    verbalizer_file: str | None  # None for the fixed renderers
+    reasoner_file: str | None  # None: the oracle scores the candidates
+
+
+# Every variant, in report order.
+VARIANTS: dict[str, VariantSpec] = {
+    "template": VariantSpec("template", None, None),
+    "zero_shot": VariantSpec("zero_shot", None, None),
+    "action": VariantSpec("action", "verbalizer_action.json", None),
+    "rewrite": VariantSpec("rewrite", "verbalizer_rewrite.json", None),
+    "rewrite_trained_reasoner": VariantSpec("rewrite", "verbalizer_rewrite.json", "reasoner_rewrite.json"),
+    "raw_trained_reasoner": VariantSpec("template", None, "reasoner_raw.json"),
+    "rewrite_ranking_reward": VariantSpec("rewrite", "verbalizer_rewrite_ranking.json", None),
+}
+ALL_VARIANTS = tuple(VARIANTS)
+# The report's relative improvement is measured against this variant.
+BASE_VARIANT = "template"
 
 
 class ConfigError(ValueError):
@@ -59,11 +75,18 @@ class AblateConfig:
     def validate(self) -> None:
         if not self.seeds:
             raise ConfigError("ablate.seeds must not be empty")
-        unknown = [v for v in self.variants if v not in ALL_VARIANTS]
+        out_of_range = [s for s in self.seeds if not 0 <= s < (1 << 64)]
+        if out_of_range:
+            raise ConfigError(f"ablate.seeds must be unsigned 64-bit integers, got {out_of_range}")
+        unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
-            raise ConfigError(f"ablate.variants has unknown variants {unknown}; known: {list(ALL_VARIANTS)}")
-        if "template" not in self.variants:
-            raise ConfigError("ablate.variants must include 'template' (the improvement baseline)")
+            raise ConfigError(f"ablate.variants has unknown variants {unknown}; known: {list(VARIANTS)}")
+        for key, values in (("seeds", self.seeds), ("variants", self.variants)):
+            repeated = list(dict.fromkeys(x for x in values if values.count(x) > 1))
+            if repeated:
+                raise ConfigError(f"ablate.{key} repeats {repeated}")
+        if BASE_VARIANT not in self.variants:
+            raise ConfigError(f"ablate.variants must include {BASE_VARIANT!r} (the improvement baseline)")
 
 
 @dataclass

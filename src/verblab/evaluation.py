@@ -1,10 +1,9 @@
-"""Evaluation variants, per-seed training orchestration, and report emission.
+"""Evaluation of variants, per-seed training orchestration, and report emission.
 
-A variant names one cell of the ablation matrix: which verbalizer produces
-the context and which reasoner picks the candidate.  ``run_ablation`` walks
+The variants are the rows of ``config.VARIANTS``.  ``run_ablation`` walks
 variants x seeds, training missing artifacts on demand, and ``emit_report``
-writes the CSV/markdown summary with relative improvement over the template
-baseline on discovery recall.
+writes the CSV/markdown summary with relative improvement over the base
+variant (``config.BASE_VARIANT``) on discovery recall.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .config import ALL_VARIANTS, GlobalConfig
+from .config import BASE_VARIANT, VARIANTS, GlobalConfig
 from .domain import Catalog, EpisodeInstance, read_catalog, read_episodes
 from .fsutil import atomic_write_text
 from .grpo import train_stage1
@@ -60,33 +59,6 @@ class Metrics:
         }
 
 
-@dataclass(frozen=True)
-class VariantSpec:
-    name: str
-    verbalizer_kind: str  # template | zero_shot | action | rewrite
-    verbalizer_file: str | None  # params file under the seed directory
-    reasoner: str  # "oracle" | "trained"
-    reasoner_file: str | None
-
-
-VARIANT_SPECS: dict[str, VariantSpec] = {
-    "template": VariantSpec("template", "template", None, "oracle", None),
-    "zero_shot": VariantSpec("zero_shot", "zero_shot", None, "oracle", None),
-    "action": VariantSpec("action", "action", "verbalizer_action.json", "oracle", None),
-    "rewrite": VariantSpec("rewrite", "rewrite", "verbalizer_rewrite.json", "oracle", None),
-    "rewrite_trained_reasoner": VariantSpec(
-        "rewrite_trained_reasoner", "rewrite", "verbalizer_rewrite.json", "trained", "reasoner_rewrite.json"
-    ),
-    "raw_trained_reasoner": VariantSpec(
-        "raw_trained_reasoner", "template", None, "trained", "reasoner_raw.json"
-    ),
-    "rewrite_ranking_reward": VariantSpec(
-        "rewrite_ranking_reward", "rewrite", "verbalizer_rewrite_ranking.json", "oracle", None
-    ),
-}
-assert tuple(VARIANT_SPECS) == ALL_VARIANTS
-
-
 def _require_file(seed_dir: str | None, filename: str, variant: str) -> str:
     if seed_dir is None:
         raise EvaluationError(f"variant {variant!r} needs trained parameters; no artifact directory given")
@@ -107,9 +79,9 @@ def evaluate(
     seed_dir: str | None = None,
 ) -> Metrics:
     """Greedy-decode each episode's context and score Recall@1."""
-    spec = VARIANT_SPECS.get(variant)
+    spec = VARIANTS.get(variant)
     if spec is None:
-        raise EvaluationError(f"unknown variant {variant!r}; known: {list(VARIANT_SPECS)}")
+        raise EvaluationError(f"unknown variant {variant!r}; known: {list(VARIANTS)}")
     if not episodes:
         raise EvaluationError("no evaluation episodes")
 
@@ -122,7 +94,7 @@ def evaluate(
                 f"{path} holds {kind!r} parameters but variant {variant!r} needs {spec.verbalizer_kind!r}"
             )
     rparams = None
-    if spec.reasoner == "trained":
+    if spec.reasoner_file is not None:
         rparams = load_reasoner_params(_require_file(seed_dir, spec.reasoner_file, variant))
 
     reasoner = ReasonerPolicy()
@@ -130,7 +102,7 @@ def evaluate(
     ratio_sum = 0.0
     for ep in episodes:
         ctx = frozen_verbalize(spec.verbalizer_kind, vparams, ep.history, catalog)
-        if spec.reasoner == "oracle":
+        if rparams is None:
             pred = oracle_predict(ctx, ep.candidates, catalog, cfg.oracle)
         else:
             pred = reasoner.greedy(rparams.weights, episode_candidate_features(ctx, ep, catalog))[0]
@@ -277,12 +249,12 @@ def run_seed_pipeline(
     fully independent world + training run.  Returns {filename: path}.
     """
     variants = tuple(variants) if variants is not None else cfg.ablate.variants
-    unknown = [v for v in variants if v not in VARIANT_SPECS]
+    unknown = [v for v in variants if v not in VARIANTS]
     if unknown:
-        raise EvaluationError(f"unknown variants {unknown}; known: {list(VARIANT_SPECS)}")
+        raise EvaluationError(f"unknown variants {unknown}; known: {list(VARIANTS)}")
     paths = ensure_dataset(cfg, seed, seed_dir, force=force)
 
-    needed = {f for v in variants for f in (VARIANT_SPECS[v].verbalizer_file, VARIANT_SPECS[v].reasoner_file) if f}
+    needed = {f for v in variants for f in (VARIANTS[v].verbalizer_file, VARIANTS[v].reasoner_file) if f}
     for name, spec in reversed(ARTIFACTS.items()):
         if name in needed:
             needed.update(spec.needs)
@@ -310,12 +282,12 @@ class ReportRow:
     seed: str  # str(seed number), or "mean" for the aggregate row
     recall1_overall: float
     recall1_discovery: float | None
-    rel_improvement_pct: float | None  # None = undefined, inf = template at 0
+    rel_improvement_pct: float | None  # None = undefined, inf = base at 0
     mean_compression: float
 
 
-def _rel_improvement(value: float | None, base: float | None, is_template: bool) -> float | None:
-    if is_template:
+def _rel_improvement(value: float | None, base: float | None, is_base: bool) -> float | None:
+    if is_base:
         return 0.0
     if value is None or base is None:
         return None
@@ -329,8 +301,8 @@ def run_ablation(cfg: GlobalConfig, out_dir: str, force: bool = False) -> list[R
 
     Missing artifacts are trained on demand (``force`` retrains everything).
     Rows come back in variant-major order followed by one "mean" row per
-    variant; relative improvement is against the template baseline's
-    discovery recall (same seed, or mean vs mean).
+    variant; relative improvement is against the base variant's discovery
+    recall (same seed, or mean vs mean).
     """
     variants = cfg.ablate.variants
     per_seed: dict[int, dict[str, Metrics]] = {}
@@ -346,14 +318,14 @@ def run_ablation(cfg: GlobalConfig, out_dir: str, force: bool = False) -> list[R
     for v in variants:
         for seed in cfg.ablate.seeds:
             m = per_seed[seed][v]
-            base = per_seed[seed]["template"].recall1_discovery
+            base = per_seed[seed][BASE_VARIANT].recall1_discovery
             rows.append(
                 ReportRow(
                     variant=v,
                     seed=str(seed),
                     recall1_overall=m.recall1_overall,
                     recall1_discovery=m.recall1_discovery,
-                    rel_improvement_pct=_rel_improvement(m.recall1_discovery, base, v == "template"),
+                    rel_improvement_pct=_rel_improvement(m.recall1_discovery, base, v == BASE_VARIANT),
                     mean_compression=m.mean_compression,
                 )
             )
@@ -373,7 +345,7 @@ def run_ablation(cfg: GlobalConfig, out_dir: str, force: bool = False) -> list[R
                 seed="mean",
                 recall1_overall=sum(m.recall1_overall for m in ms) / len(ms),
                 recall1_discovery=mean_disc[v],
-                rel_improvement_pct=_rel_improvement(mean_disc[v], mean_disc["template"], v == "template"),
+                rel_improvement_pct=_rel_improvement(mean_disc[v], mean_disc[BASE_VARIANT], v == BASE_VARIANT),
                 mean_compression=sum(m.mean_compression for m in ms) / len(ms),
             )
         )

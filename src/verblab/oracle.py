@@ -3,7 +3,9 @@
 The oracle reads a verbalized context as a bag of tokens and scores each
 candidate by weighted matches: title tokens count toward the item they name,
 genre and preference tokens toward candidates of that genre, tag tokens
-toward candidates sharing the tag.  Title matches deliberately favour
+toward candidates sharing the tag.  ``match_counts`` is the one place that
+applies these rules to a context; the oracle weighs its counts and the
+trained reasoner normalizes them.  Title matches deliberately favour
 already-watched candidates, which is what makes plain template contexts bad
 at discovery and gives the learned verbalizers something to fix.
 
@@ -96,32 +98,33 @@ def token_weight(token: Token, candidate: ItemMeta, weights: OracleWeights) -> f
     return 0.0
 
 
+def match_counts(context: VerbalizedContext, candidates, catalog: Catalog) -> np.ndarray:
+    """(n_candidates, 4) integer counts of the context tokens that match each
+    candidate under ``token_weight``'s rules, by kind: title, genre, pref,
+    tag.  The tokens are scanned once."""
+    counts = Counter(context.tokens)  # a Token is a (kind, payload) tuple
+    rows = []
+    for cand in candidates:
+        meta = catalog.meta(cand)
+        rows.append((
+            counts[("TITLE", meta.item_id)],
+            counts[("GENRE", meta.genre)],
+            counts[("PREF", meta.genre)],
+            sum(counts[("TAG", tag)] for tag in meta.tags),
+        ))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+
+
+def weigh(weights: OracleWeights, title, genre, pref, tag):
+    """The oracle score of match counts (numbers or arrays alike)."""
+    return weights.w_title * title + weights.w_genre * genre + weights.w_pref * pref + weights.w_tag * tag
+
+
 def oracle_scores(
     context: VerbalizedContext, candidates, catalog: Catalog, weights: OracleWeights
 ) -> list[float]:
     """Per-candidate sum of token_weight over all context tokens."""
-    title_counts: Counter = Counter()
-    genre_counts: Counter = Counter()
-    pref_counts: Counter = Counter()
-    tag_counts: Counter = Counter()
-    for token in context.tokens:
-        if token.kind == "TITLE":
-            title_counts[token.payload] += 1
-        elif token.kind == "GENRE":
-            genre_counts[token.payload] += 1
-        elif token.kind == "PREF":
-            pref_counts[token.payload] += 1
-        elif token.kind == "TAG":
-            tag_counts[token.payload] += 1
-    scores = []
-    for cand in candidates:
-        meta = catalog.meta(cand)
-        s = weights.w_title * title_counts.get(meta.item_id, 0)
-        s += weights.w_genre * genre_counts.get(meta.genre, 0)
-        s += weights.w_pref * pref_counts.get(meta.genre, 0)
-        s += weights.w_tag * sum(tag_counts.get(tag, 0) for tag in meta.tags)
-        scores.append(s)
-    return scores
+    return weigh(weights, *match_counts(context, candidates, catalog).T).tolist()
 
 
 def oracle_predict(
@@ -249,12 +252,12 @@ def count_scores(matches: EpisodeMatches, starts, enriched, prefs, weights: Orac
 
     A segment opened at record t emits two TITLE tokens of its item, an
     enriched one its GENRE and TAG tokens, and ``prefs`` marks the PREF
-    genres.  The counts are exact integers and combine in the order
-    ``oracle_scores`` uses, so each row equals that function's result on
-    the rendered context.
+    genres.  The counts are exact integers and go through ``weigh`` as in
+    ``oracle_scores``, so each row equals that function's result on the
+    rendered context.
     """
     title = 2 * (starts.astype(np.int64) @ matches.title)
     genre = enriched.astype(np.int64) @ matches.genre
     tag = enriched.astype(np.int64) @ matches.tag
     pref = prefs.astype(np.int64) @ matches.pref
-    return weights.w_title * title + weights.w_genre * genre + weights.w_pref * pref + weights.w_tag * tag
+    return weigh(weights, title, genre, pref, tag)

@@ -1,11 +1,12 @@
 """Trainable candidate scorer and its Stage-2 set-up.
 
 Where the oracle's weights are fixed, this reasoner learns a 6-weight linear
-softmax over per-candidate match features.  Crucially it sees a watched flag
-the oracle ignores, so Stage-2 training can learn to discount the title-match
-bias toward rewatches and recover discovery targets.  Predictions are
-single-decision trajectories; rewards are +1/-1 on exact target hit, and
-training runs the same ``grpo.train_grpo`` loop as Stage 1.
+softmax over per-candidate features: the oracle's match counts, normalized.
+Crucially it sees a watched flag the oracle ignores, so Stage-2 training can
+learn to discount the title-match bias toward rewatches and recover
+discovery targets.  Predictions are single-decision trajectories; rewards
+are +1/-1 on exact target hit, and training runs the same
+``grpo.train_grpo`` loop as Stage 1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .domain import Catalog, EpisodeInstance, VerbalizedContext
 from .grpo import GrpoConfig, train_grpo
-from .oracle import RewardBreakdown
+from .oracle import RewardBreakdown, match_counts
 from .verbalizer import Trace, frozen_verbalize, load_params, save_params
 
 N_CANDIDATE_FEATURES = 6
@@ -41,34 +42,19 @@ class ReasonerParams:
         return ReasonerParams(vec.copy())
 
 
-def candidate_features(context: VerbalizedContext, candidate_meta, watched: bool) -> np.ndarray:
-    """[bias, genre, tag, title, pref match sums, watched flag].
-
-    Match sums count context tokens with unit weight and are normalized by
-    (1 + context length), so feature scale does not grow with verbosity.
-    """
-    genre = tags = title = pref = 0
-    for token in context.tokens:
-        if token.kind == "GENRE":
-            genre += token.payload == candidate_meta.genre
-        elif token.kind == "TAG":
-            tags += token.payload in candidate_meta.tags
-        elif token.kind == "TITLE":
-            title += token.payload == candidate_meta.item_id
-        elif token.kind == "PREF":
-            pref += token.payload == candidate_meta.genre
-    norm = 1.0 + len(context.tokens)
-    return np.array([1.0, genre / norm, tags / norm, title / norm, pref / norm, 1.0 if watched else 0.0])
-
-
 def episode_candidate_features(
     context: VerbalizedContext, episode: EpisodeInstance, catalog: Catalog
 ) -> np.ndarray:
-    """(n_candidates, 6) feature matrix for one episode."""
+    """(n_candidates, 6) feature matrix for one episode; a candidate's row is
+    [bias, genre, tag, title, pref match counts, watched flag].
+
+    The match counts are the oracle's (``match_counts``), normalized by
+    (1 + context length) so feature scale does not grow with verbosity.
+    """
+    title, genre, pref, tag = match_counts(context, episode.candidates, catalog).T / (1.0 + len(context.tokens))
     watched = {r.item_id for r in episode.history.records}
-    return np.stack(
-        [candidate_features(context, catalog.meta(c), c in watched) for c in episode.candidates]
-    )
+    flags = [1.0 if c in watched else 0.0 for c in episode.candidates]
+    return np.column_stack([np.ones(len(flags)), genre, tag, title, pref, flags])
 
 
 def stage2_reward(prediction: int, target_index: int) -> float:

@@ -127,6 +127,24 @@ class TestParsing:
         with pytest.raises(ConfigError, match=where.replace(".", "\\.")):
             config_from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            # the RNG reads 64 bits, so 2**70 would quietly be seed 0's world
+            ({"ablate": {"seeds": [2**70]}}, "ablate.seeds must be unsigned 64-bit integers, got [1180591620717411303424]"),
+            ({"ablate": {"seeds": [3, -5]}}, "ablate.seeds must be unsigned 64-bit integers, got [-5]"),
+            ({"ablate": {"seeds": [1, 2, 1]}}, "ablate.seeds repeats [1]"),
+            ({"ablate": {"variants": ["template", "zero_shot", "template"]}}, "ablate.variants repeats ['template']"),
+        ],
+    )
+    def test_ablate_rejects_seeds_and_variants_it_cannot_honour(self, obj, message):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(obj)
+        assert str(err.value) == message
+
+    def test_ablate_accepts_the_whole_seed_range(self):
+        assert config_from_dict({"ablate": {"seeds": [0, 2**64 - 1]}}).ablate.seeds == (0, 2**64 - 1)
+
     def test_integers_accepted_for_float_fields(self):
         cfg = config_from_dict({"world": {"p_noise": 0}})
         assert cfg.world.p_noise == 0.0

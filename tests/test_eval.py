@@ -6,7 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from verblab.config import ALL_VARIANTS, AblateConfig, GlobalConfig, VerbalizerConfig
+from verblab.config import (
+    ALL_VARIANTS,
+    BASE_VARIANT,
+    VARIANTS,
+    AblateConfig,
+    ConfigError,
+    GlobalConfig,
+    VerbalizerConfig,
+)
 from verblab.domain import (
     GENRES,
     TAG_POOL,
@@ -19,7 +27,6 @@ from verblab.domain import (
 from verblab import evaluation
 from verblab.evaluation import (
     ARTIFACTS,
-    VARIANT_SPECS,
     EvaluationError,
     Metrics,
     ReasonerTrainer,
@@ -79,20 +86,30 @@ def mk_episode(watch_items, target_index, is_discovery):
 
 class TestVariantTable:
     def test_every_spec_is_self_consistent(self):
-        for name, spec in VARIANT_SPECS.items():
-            assert spec.name == name
+        assert ALL_VARIANTS == tuple(VARIANTS)
+        for spec in VARIANTS.values():
             assert spec.verbalizer_kind in ("template", "zero_shot", "action", "rewrite")
-            assert spec.reasoner in ("oracle", "trained")
-            if spec.reasoner == "trained":
-                assert spec.reasoner_file is not None
-            if spec.verbalizer_kind in ("template", "zero_shot"):
-                assert spec.verbalizer_file is None
+            # a trained row's files are artifacts whose trainer has the row's kind
+            if spec.verbalizer_file is None:
+                assert spec.verbalizer_kind in ("template", "zero_shot")
+            else:
+                assert ARTIFACTS[spec.verbalizer_file].train.kind == spec.verbalizer_kind
+            if spec.reasoner_file is not None:
+                assert ARTIFACTS[spec.reasoner_file].train.verbalizer_kind == spec.verbalizer_kind
+        # the report base is a fixed renderer scored by the oracle
+        assert VARIANTS[BASE_VARIANT].verbalizer_file is None
+        assert VARIANTS[BASE_VARIANT].reasoner_file is None
+
+    def test_config_without_the_base_is_rejected(self):
+        others = tuple(v for v in ALL_VARIANTS if v != BASE_VARIANT)
+        with pytest.raises(ConfigError, match="ablate.variants must include 'template' \\(the improvement baseline\\)"):
+            AblateConfig(variants=others).validate()
 
     def test_artifact_table_order_and_dependencies(self, tmp_path, monkeypatch):
         names = list(ARTIFACTS)
         for i, spec in enumerate(ARTIFACTS.values()):
             assert all(names.index(dep) < i for dep in spec.needs)
-        for spec in VARIANT_SPECS.values():
+        for spec in VARIANTS.values():
             assert {spec.verbalizer_file, spec.reasoner_file} - {None} <= set(ARTIFACTS)
         assert len({spec.log_file for spec in ARTIFACTS.values()}) == len(ARTIFACTS)
         # the CLI's single-artifact commands find their entries by trainer
@@ -128,20 +145,20 @@ class TestVariantTable:
 
 class TestRelImprovement:
     def test_template_row_is_always_zero(self):
-        assert _rel_improvement(0.4, 0.4, is_template=True) == 0.0
-        assert _rel_improvement(None, None, is_template=True) == 0.0
+        assert _rel_improvement(0.4, 0.4, is_base=True) == 0.0
+        assert _rel_improvement(None, None, is_base=True) == 0.0
 
     def test_undefined_inputs_stay_undefined(self):
-        assert _rel_improvement(None, 0.2, is_template=False) is None
-        assert _rel_improvement(0.2, None, is_template=False) is None
+        assert _rel_improvement(None, 0.2, is_base=False) is None
+        assert _rel_improvement(0.2, None, is_base=False) is None
 
     def test_zero_baseline(self):
-        assert _rel_improvement(0.0, 0.0, is_template=False) == 0.0
-        assert _rel_improvement(0.3, 0.0, is_template=False) == float("inf")
+        assert _rel_improvement(0.0, 0.0, is_base=False) == 0.0
+        assert _rel_improvement(0.3, 0.0, is_base=False) == float("inf")
 
     def test_percent_arithmetic(self):
-        assert _rel_improvement(0.3, 0.2, is_template=False) == pytest.approx(50.0)
-        assert _rel_improvement(0.1, 0.2, is_template=False) == pytest.approx(-50.0)
+        assert _rel_improvement(0.3, 0.2, is_base=False) == pytest.approx(50.0)
+        assert _rel_improvement(0.1, 0.2, is_base=False) == pytest.approx(-50.0)
 
 
 class TestEvaluate:

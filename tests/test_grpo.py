@@ -29,8 +29,9 @@ from verblab.grpo import (
     write_train_log,
 )
 from verblab.oracle import RewardBreakdown, RewardConfig
+from verblab.reasoner import ReasonerPolicy, episode_candidate_features
 from verblab.rng import derive_rng, substream_randoms
-from verblab.verbalizer import ActionPolicy, RewritePolicy
+from verblab.verbalizer import POLICIES, ActionPolicy, RewritePolicy, frozen_verbalize
 
 
 class TestAdvantages:
@@ -131,8 +132,8 @@ def tiny_episode(catalog, t=2):
     )
 
 
-def build_group(policy, old_vec, episode, g, rewards, seed=0):
-    ctx = policy.make_ctx(episode.history)
+def build_group(policy, old_vec, episode, g, rewards, seed=0, ctx=None):
+    ctx = policy.make_ctx(episode.history) if ctx is None else ctx
     trace = policy.sample(old_vec, ctx, substream_randoms(100 + seed, "grp", 0, g, policy.n_draws(ctx)))
     members = [
         RolloutMember(choices, logprobs, RewardBreakdown(r, 0.0, r, 0.5))
@@ -199,6 +200,59 @@ class TestObjective:
                 lambda p: grpo_objective(policy, p, groups, ref, cfg), grad, cur, h=1e-5
             )
             assert err < 1e-4, f"{policy.kind}: {err}"
+
+
+def scalar_objective(policy, params, groups, ref_params, cfg):
+    """The surrogate from the scalar kernels: per member, the token mean of
+    clipped_term - beta * kl_k3; averaged over members, then groups."""
+    total = 0.0
+    for group in groups:
+        cur = policy.logprobs(params, group.ctx, group.choices)
+        ref = policy.logprobs(ref_params, group.ctx, group.choices)
+        for m, c_row, o_row, r_row in zip(group.members, cur.tolist(), group.old_logprobs.tolist(), ref.tolist()):
+            terms = [
+                clipped_term(math.exp(c - o), m.advantage, cfg.eps_clip) - cfg.beta_kl * kl_k3(c, r)
+                for c, o, r in zip(c_row, o_row, r_row)
+            ]
+            total += sum(terms) / len(terms) / len(group.members)
+    return total / len(groups)
+
+
+class TestSurrogateAgainstScalarKernels:
+    @pytest.mark.parametrize("kind", ["action", "rewrite", "reasoner"])
+    def test_objective_is_the_mean_of_the_scalar_terms(self, kind):
+        catalog = tiny_catalog()
+        episodes = [tiny_episode(catalog, t) for t in (2, 3, 4)]
+        if kind == "reasoner":
+            policy = ReasonerPolicy()
+            ctxs = [
+                episode_candidate_features(frozen_verbalize("template", None, ep.history, catalog), ep, catalog)
+                for ep in episodes
+            ]
+        else:
+            policy = POLICIES[kind](catalog)
+            ctxs = [policy.make_ctx(ep.history) for ep in episodes]
+        rng = derive_rng(17, f"surrogate_{kind}", 0)
+
+        def near(vec, scale):
+            return vec + np.array([scale * rng.normal() for _ in range(policy.n_params)])
+
+        old = near(np.zeros(policy.n_params), 1.0)
+        # away from both the sampling and the reference params, far enough to clip
+        cur, ref = near(old, 0.6), near(old, 0.4)
+        g = 6
+        groups = [
+            build_group(policy, old, ep, g, [1.0, 0.0, 0.5, 0.0, 1.0, 0.25], seed=i, ctx=ctx)
+            for i, (ep, ctx) in enumerate(zip(episodes, ctxs))
+        ]
+        cfg = GrpoConfig(g=g, beta_kl=0.3, eps_clip=0.2)
+        rho = np.concatenate([
+            np.exp(policy.logprobs(cur, gr.ctx, gr.choices) - gr.old_logprobs).ravel() for gr in groups
+        ])
+        assert np.any(np.abs(rho - 1.0) > cfg.eps_clip), "no token leaves the clip band"
+        assert not np.allclose(cur, ref)
+        expected = scalar_objective(policy, cur, groups, ref, cfg)
+        assert grpo_objective(policy, cur, groups, ref, cfg) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestAdam:

@@ -17,11 +17,11 @@ from verblab.domain import (
     VerbalizedContext,
 )
 from verblab.grpo import GrpoConfig, finite_diff_check, read_train_log
+from verblab.oracle import OracleWeights, token_weight
 from verblab.reasoner import (
     N_CANDIDATE_FEATURES,
     ReasonerParams,
     ReasonerPolicy,
-    candidate_features,
     episode_candidate_features,
     load_reasoner_params,
     save_reasoner_params,
@@ -29,6 +29,7 @@ from verblab.reasoner import (
     train_stage2,
 )
 from verblab.rng import derive_rng, substream_randoms
+from verblab.verbalizer import POLICIES, frozen_verbalize
 
 
 def mk_catalog(n=10):
@@ -54,11 +55,24 @@ def mk_episode(hot_item, n_hot, catalog, target=None):
     )
 
 
+def features_of(ctx, meta, watched):
+    """``meta``'s row of the features of an episode whose only candidate it
+    is, with a one-record history that does or does not watch it."""
+    item = meta.item_id if watched else meta.item_id + 1
+    ep = EpisodeInstance(
+        history=UserHistory(0, (InteractionRecord(day=20, hour=9, item_id=item, engagement="play", duration_min=40.0),)),
+        candidates=(meta.item_id,),
+        target_index=0,
+        is_discovery=False,
+    )
+    return episode_candidate_features(ctx, ep, Catalog([meta]))[0]
+
+
 class TestCandidateFeatures:
     def test_single_preference_token(self):
         ctx = VerbalizedContext([Token("PREF", "scifi")], source_template_len=8)
         meta = ItemMeta(3, ("x", "y"), "scifi", ("gritty", "noir", "raw"), 2010)
-        feats = candidate_features(ctx, meta, watched=False)
+        feats = features_of(ctx, meta, watched=False)
         assert feats.tolist() == [1.0, 0.0, 0.0, 0.0, 0.5, 0.0]
 
     def test_mixed_context_counts_each_kind(self):
@@ -72,19 +86,19 @@ class TestCandidateFeatures:
         ]
         ctx = VerbalizedContext(tokens, source_template_len=16)
         meta = ItemMeta(7, ("x", "y"), "comedy", ("campy", "gritty", "noir"), 2010)
-        feats = candidate_features(ctx, meta, watched=True)
+        feats = features_of(ctx, meta, watched=True)
         assert np.allclose(feats, [1.0, 1 / 7, 1 / 7, 2 / 7, 1 / 7, 1.0], atol=1e-15)
 
     def test_title_matches_by_item_id_not_words(self):
         ctx = VerbalizedContext([Token("TITLE", 7), Token("TITLE", 8)], source_template_len=8)
         meta = ItemMeta(8, ("w7a", "w7b"), "drama", ("raw", "noir", "epic"), 2010)
-        feats = candidate_features(ctx, meta, watched=False)
+        feats = features_of(ctx, meta, watched=False)
         assert feats[3] == pytest.approx(1 / 3)
 
     def test_empty_context_is_bias_and_flag_only(self):
         ctx = VerbalizedContext([], source_template_len=8)
         meta = ItemMeta(1, ("x", "y"), "drama", ("raw", "noir", "epic"), 2010)
-        assert candidate_features(ctx, meta, watched=True).tolist() == [1, 0, 0, 0, 0, 1]
+        assert features_of(ctx, meta, watched=True).tolist() == [1, 0, 0, 0, 0, 1]
 
     def test_normalization_dampens_long_contexts(self):
         short = VerbalizedContext([Token("GENRE", "drama")], source_template_len=8)
@@ -92,8 +106,8 @@ class TestCandidateFeatures:
             [Token("GENRE", "drama")] + [Token("ENG", "play")] * 8, source_template_len=72
         )
         meta = ItemMeta(1, ("x", "y"), "drama", ("raw", "noir", "epic"), 2010)
-        assert candidate_features(short, meta, False)[1] == pytest.approx(1 / 2)
-        assert candidate_features(padded, meta, False)[1] == pytest.approx(1 / 10)
+        assert features_of(short, meta, False)[1] == pytest.approx(1 / 2)
+        assert features_of(padded, meta, False)[1] == pytest.approx(1 / 10)
 
     def test_episode_matrix_shape_and_watched_column(self):
         catalog = mk_catalog()
@@ -104,6 +118,33 @@ class TestCandidateFeatures:
         watched = {r.item_id for r in ep.history.records}
         assert feats[:, 5].tolist() == [1.0 if c in watched else 0.0 for c in ep.candidates]
         assert feats[3, 3] == pytest.approx(1 / 2)
+
+    @pytest.mark.parametrize("kind", ["template", "zero_shot", "action", "rewrite"])
+    def test_match_features_are_unit_weight_token_sums(self, small_world, kind):
+        # each match column is the brute-force token_weight sum under that
+        # kind's unit weight, over (1 + context length), bit for bit (the
+        # product with the length need not round back to the integer sum)
+        _, catalog, train, _ = small_world
+        params = None
+        if kind in POLICIES:
+            policy = POLICIES[kind](catalog)
+            rng = derive_rng(5, f"features_{kind}", 0)
+            params = policy.params_type.from_vector(np.array([rng.normal() for _ in range(policy.n_params)]))
+        units = {
+            1: OracleWeights(w_title=0.0, w_genre=1.0, w_tag=0.0, w_pref=0.0),
+            2: OracleWeights(w_title=0.0, w_genre=0.0, w_tag=1.0, w_pref=0.0),
+            3: OracleWeights(w_title=1.0, w_genre=0.0, w_tag=0.0, w_pref=0.0),
+            4: OracleWeights(w_title=0.0, w_genre=0.0, w_tag=0.0, w_pref=1.0),
+        }
+        for ep in train:
+            ctx = frozen_verbalize(kind, params, ep.history, catalog)
+            feats = episode_candidate_features(ctx, ep, catalog)
+            norm = 1.0 + len(ctx.tokens)
+            for j, cand in enumerate(ep.candidates):
+                meta = catalog.meta(cand)
+                for col, unit in units.items():
+                    brute = sum(token_weight(tok, meta, unit) for tok in ctx.tokens)
+                    assert feats[j, col] == brute / norm, (kind, ep.history.user_id, cand, col)
 
 
 def adapter_probs(params: ReasonerParams, feats: np.ndarray) -> np.ndarray:
@@ -228,7 +269,6 @@ class TestTrainStage2:
         assert params.weights[3] > 0.5
         policy = ReasonerPolicy()
         for ep in self.episodes:
-            from verblab.verbalizer import frozen_verbalize
             ctx = frozen_verbalize("template", None, ep.history, self.catalog)
             feats = episode_candidate_features(ctx, ep, self.catalog)
             assert policy.greedy(params.weights, feats) == [ep.target_index]
